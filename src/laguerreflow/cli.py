@@ -53,9 +53,14 @@ def _alpha(args: argparse.Namespace) -> AlphaParam:
     return AlphaParam(to_rational(args.alpha))
 
 
-def _require_seed(args: argparse.Namespace) -> random.Random:
+def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
+    """Seeded generator for a randomized batch, once its size arguments are checked."""
     if args.seed is None:
         raise ValueError("a seed is required for randomized trials")
+    if args.trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {args.trials}")
+    if args.max_degree < min_degree:
+        raise ValueError(f"max degree must be at least {min_degree}, got {args.max_degree}")
     return random.Random(args.seed)
 
 
@@ -164,7 +169,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, bool]:
         }
         return report, result.passed
 
-    rng = _require_seed(args)
+    rng = _batch_rng(args, min_degree=1)
     failures = []
     for _ in range(args.trials):
         alpha = (
@@ -252,7 +257,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, bool]:
         }
         return report, equal
 
-    rng = _require_seed(args)
+    rng = _batch_rng(args, min_degree=0)
     failures = 0
     for _ in range(args.trials):
         f = random_poly(rng, args.max_degree)

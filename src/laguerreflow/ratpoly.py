@@ -320,6 +320,16 @@ class Poly:
 #   {"roots": [["r1", m1], ...], "lead": "c"} meaning c * prod (x - r_i)^{m_i}
 
 
+def _literal_rational(value: object, what: str) -> Fraction:
+    """A rational from a decoded literal; JSON true/false, floats and null are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a rational, not JSON {json.dumps(value)}")
+    try:
+        return to_rational(value)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def parse_poly_literal(literal: Union[str, dict]) -> Poly:
     """Parse a polynomial literal given as a JSON string or decoded object."""
     if isinstance(literal, str):
@@ -337,7 +347,7 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, list):
             raise ValueError("'coeffs' must be a list of rational strings")
-        return Poly([to_rational(c) for c in coeffs])
+        return Poly([_literal_rational(c, "coefficient") for c in coeffs])
     if "roots" in obj:
         roots = obj["roots"]
         if not isinstance(roots, list):
@@ -347,10 +357,10 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ValueError("each root entry must be a [root, multiplicity] pair")
             root, mult = entry
-            if not isinstance(mult, int) or mult < 1:
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise ValueError("root multiplicity must be a positive integer")
-            pairs.append((to_rational(root), mult))
-        lead = to_rational(obj.get("lead", 1))
+            pairs.append((_literal_rational(root, "root"), mult))
+        lead = _literal_rational(obj.get("lead", 1), "'lead'")
         if lead == 0:
             raise ValueError("leading coefficient must be nonzero")
         return Poly.from_roots(pairs, lead=lead)

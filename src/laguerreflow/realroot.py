@@ -1,15 +1,31 @@
 """Exact real-root counting, certification, and isolation via Sturm chains.
 
-Counts are sign-variation differences of the signed Euclidean remainder
-sequence of (f, f'), so they are exact over the rationals. Intervals follow
-the half-open convention: count_real_roots(f, lo, hi) counts distinct real
-roots in (lo, hi]. Chain elements are stored as primitive integer-coefficient
-polynomials (a positive rescaling, which preserves every evaluation sign) and
-evaluated with pure integer arithmetic.
+Every query on a polynomial f goes through one prepared root context. It runs
+one signed primitive pseudo-remainder sequence over the integers on (f, f'):
+each step scales the dividend by a power of |lc| of the divisor (positive,
+where lc^k can be negative), takes the remainder, negates it and divides out
+its integer content, so each element has the evaluation signs of the signed
+Euclidean remainder over the rationals (Collins 1967; Basu-Pollack-Roy,
+ch. 8). The last element is gcd(f, f') up to a constant, and f divided by it
+is the square-free part g: the distinct roots of f, all simple. When the gcd
+is constant the sequence already is g's Sturm chain; otherwise g gets one
+more run. Counts are sign-variation differences of that chain, evaluated with
+integer arithmetic only. Intervals follow the half-open convention:
+count_real_roots(f, lo, hi) counts distinct real roots in (lo, hi].
+
+Isolation bisects (-M, M], M = p/q the strict Cauchy bound of g, in two
+phases. While an interval holds two or more roots, Sturm counts split it; the
+variation counts at both ends ride along, so a split evaluates the chain at
+the midpoint only. An interval holding one root is then narrowed by the sign
+of g alone, which is nonzero at every endpoint: each is -M, M or a midpoint
+nudged off the roots of g. Endpoints are integer numerators over q*2^j, and
+the chain is rewritten once in y = q*x, so every evaluation is at a dyadic
+point and scales by shifts; Fractions are built only for the output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,12 +35,15 @@ from .ratpoly import Poly, RationalLike, approx_str, format_rational, to_rationa
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
 
+# Integer polynomial, ascending degree, no trailing zeros.
+Ints = tuple[int, ...]
+
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(ints: tuple[int, ...], num: int, den: int) -> int:
+def _sign_at(ints: Ints, num: int, den: int) -> int:
     """Sign of the integer polynomial at num/den (den > 0), by scaled Horner."""
     acc = ints[-1]
     dp = 1
@@ -34,9 +53,107 @@ def _sign_at(ints: tuple[int, ...], num: int, den: int) -> int:
     return _sign(acc)
 
 
+def _sign_at_dyadic(ints: Ints, num: int, shift: int) -> int:
+    """Sign of the integer polynomial at num/2^shift, by scaled Horner with shifts."""
+    acc = ints[-1]
+    scale = 0
+    for c in reversed(ints[:-1]):
+        scale += shift
+        acc = acc * num + (c << scale)
+    return _sign(acc)
+
+
 def _variations(signs: list[int]) -> int:
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def _variations_at(chain: tuple[Ints, ...], x: Optional[Fraction], positive: bool) -> int:
+    """Sign variations of the chain at x; None is the infinity on the ``positive`` side."""
+    if x is not None:
+        num, den = x.numerator, x.denominator
+        return _variations([_sign_at(ints, num, den) for ints in chain])
+    signs = []
+    for ints in chain:
+        lead = _sign(ints[-1])
+        if not positive and (len(ints) - 1) % 2:
+            lead = -lead
+        signs.append(lead)
+    return _variations(signs)
+
+
+def _count(chain: tuple[Ints, ...], lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
+    return _variations_at(chain, lo, False) - _variations_at(chain, hi, True)
+
+
+def _primitive(coeffs: list[int]) -> Ints:
+    """Divide out the (positive) content; signs are unchanged."""
+    content = math.gcd(*coeffs)
+    return tuple(c // content for c in coeffs)
+
+
+def _neg_prem(a: Ints, b: Ints) -> list[int]:
+    """Minus the pseudo-remainder of a by b, scaled by a power of |lc(b)|.
+
+    The factor is positive, so the result has the signs of -rem(a, b) at every
+    point; scaling by lc(b)^k instead would flip them whenever lc(b) < 0 and k
+    is odd. An empty list means b divides a.
+    """
+    r = list(a)
+    db = len(b) - 1
+    scale, sgn = abs(b[-1]), _sign(b[-1])
+    lower = b[:-1]
+    for shift in range(len(r) - 1 - db, -1, -1):
+        t = r.pop() * sgn
+        if t == 0:
+            continue
+        if scale != 1:
+            r = [c * scale for c in r]
+        for j, c in enumerate(lower):
+            r[shift + j] -= t * c
+    while r and r[-1] == 0:
+        r.pop()
+    return [-c for c in r]
+
+
+def _sturm_sequence(p: Ints) -> list[Ints]:
+    """Signed primitive remainder sequence of (p, p').
+
+    Its last element is gcd(p, p') up to a constant factor.
+    """
+    seq = [p]
+    derivative = [i * c for i, c in enumerate(p)][1:]
+    if derivative:
+        seq.append(_primitive(derivative))
+        while True:
+            r = _neg_prem(seq[-2], seq[-1])
+            if not r:
+                break
+            seq.append(_primitive(r))
+    return seq
+
+
+def _exact_quotient(a: Ints, b: Ints) -> Ints:
+    """a / b for primitive a, b with b | a; the quotient is integral by Gauss's lemma."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * (len(r) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        q = r.pop() // lead
+        quot[shift] = q
+        for j, c in enumerate(b[:-1]):
+            r[shift + j] -= q * c
+    assert not any(r), "inexact polynomial division"
+    return tuple(quot)
+
+
+def _primitive_ints(f: Poly) -> Ints:
+    return tuple(c.numerator for c in f.primitive().coeffs)
+
+
+def _positive_lead(p: Ints) -> Ints:
+    return p if p[-1] > 0 else tuple(-c for c in p)
 
 
 @dataclass(frozen=True)
@@ -51,44 +168,23 @@ class SturmChain:
     polys: tuple[Poly, ...]
 
     @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], ...]:
+    def _ints(self) -> tuple[Ints, ...]:
         return tuple(tuple(c.numerator for c in p.coeffs) for p in self.polys)
-
-    def variations_at(self, x: RationalLike) -> int:
-        point = to_rational(x)
-        num, den = point.numerator, point.denominator
-        return _variations([_sign_at(ints, num, den) for ints in self._ints])
-
-    def variations_at_infinity(self, positive: bool) -> int:
-        signs = []
-        for ints in self._ints:
-            lead = _sign(ints[-1])
-            if not positive and (len(ints) - 1) % 2:
-                lead = -lead
-            signs.append(lead)
-        return _variations(signs)
 
     def count(self, lo: Optional[RationalLike], hi: Optional[RationalLike]) -> int:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
-        v_lo = self.variations_at(lo) if lo is not None else self.variations_at_infinity(False)
-        v_hi = self.variations_at(hi) if hi is not None else self.variations_at_infinity(True)
-        return v_lo - v_hi
+        return _count(
+            self._ints,
+            to_rational(lo) if lo is not None else None,
+            to_rational(hi) if hi is not None else None,
+        )
 
 
 def sturm_chain(f: Poly) -> SturmChain:
     """Canonical signed-remainder chain of a nonzero polynomial."""
     if f.is_zero:
         raise ValueError("Sturm chain of the zero polynomial is undefined")
-    polys = [f.primitive()]
-    d = f.derivative()
-    if not d.is_zero:
-        polys.append(d.primitive())
-        while True:
-            r = polys[-2].rem(polys[-1])
-            if r.is_zero:
-                break
-            polys.append((-r).primitive())
-    return SturmChain(tuple(polys))
+    return SturmChain(tuple(Poly(p) for p in _sturm_sequence(_primitive_ints(f))))
 
 
 def _validated_bounds(
@@ -112,7 +208,7 @@ def count_real_roots(
     if f.is_zero:
         raise ValueError("root counting on the zero polynomial is undefined")
     lo_q, hi_q = _validated_bounds(lo, hi)
-    return sturm_chain(f.square_free()).count(lo_q, hi_q)
+    return _RootContext(f).count(lo_q, hi_q)
 
 
 def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
@@ -120,12 +216,8 @@ def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     if f.is_zero:
         raise ValueError("root counting on the zero polynomial is undefined")
     lo_q, hi_q = _validated_bounds(lo, hi)
-    g = f.square_free()
-    chain = sturm_chain(g)
-    n = chain.count(lo_q, hi_q)
-    if g(hi_q) == 0:
-        n -= 1
-    return n
+    ctx = _RootContext(f)
+    return ctx.count(lo_q, hi_q) - ctx.vanishes_at(hi_q)
 
 
 def cauchy_root_bound(f: Poly) -> Fraction:
@@ -155,44 +247,105 @@ class IsolatingInterval:
         return [format_rational(self.lo), format_rational(self.hi)]
 
 
-def _isolate_on_chain(g: Poly, chain: SturmChain, width: Fraction) -> tuple[IsolatingInterval, ...]:
-    """Bisection isolation for a square-free g with its prepared chain."""
-    g_ints = chain._ints[0]
-    total = chain.count(None, None)
-    if total == 0:
-        return ()
-    bound = cauchy_root_bound(g)
-    found: list[IsolatingInterval] = []
-    stack: list[tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 1 and hi - lo <= width:
-            found.append(IsolatingInterval(lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        # A bisection point landing exactly on a root is nudged deterministically.
-        delta = (hi - lo) / 4
-        while _sign_at(g_ints, mid.numerator, mid.denominator) == 0:
-            mid += delta
-            delta /= 2
-        left = chain.count(lo, mid)
-        if left:
-            stack.append((lo, mid, left))
-        if cnt - left:
-            stack.append((mid, hi, cnt - left))
-    found.sort(key=lambda iv: iv.lo)
-    return tuple(found)
+class _RootContext:
+    """The square-free part g of a nonzero f and g's Sturm chain, from one integer run.
+
+    ``chain[0]`` is g as coprime integers with a positive leading coefficient,
+    so it is a positive multiple of the monic square-free part of f.
+    """
+
+    def __init__(self, f: Poly):
+        p = _positive_lead(_primitive_ints(f))
+        seq = _sturm_sequence(p)
+        if len(seq[-1]) > 1:
+            # A repeated root: g = f / gcd(f, f') needs a chain of its own.
+            seq = _sturm_sequence(_positive_lead(_exact_quotient(p, seq[-1])))
+        self.chain = tuple(seq)
+        self.g = self.chain[0]
+        self.distinct = _count(self.chain, None, None)
+
+    def count(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
+        """Distinct real roots in (lo, hi]; None means the matching infinity."""
+        return _count(self.chain, lo, hi)
+
+    def vanishes_at(self, x: Fraction) -> bool:
+        return _sign_at(self.g, x.numerator, x.denominator) == 0
+
+    def isolate(self, width: Fraction) -> tuple[IsolatingInterval, ...]:
+        """Disjoint sorted intervals (lo, hi], one per distinct real root, at most ``width`` wide.
+
+        An interval is a numerator pair (a, b) at scale s, meaning
+        (a/(q*2^s), b/(q*2^s)]. The midpoints, and their nudges off exact
+        roots, are those of rational bisection from (-M, M].
+        """
+        if self.distinct == 0:
+            return ()
+        bound = cauchy_root_bound(Poly(self.g))
+        p, q = bound.numerator, bound.denominator
+        # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
+        # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
+        chain = tuple(
+            tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in self.chain
+        )
+        g = chain[0]
+        # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
+        w_num_q, w_den = width.numerator * q, width.denominator
+
+        def split(a: int, b: int, s: int) -> tuple[int, int, int, int, int]:
+            """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
+            a, b, s = 2 * a, 2 * b, s + 1
+            m = (a + b) // 2
+            sg = _sign_at_dyadic(g, m, s)
+            if sg == 0:
+                # A midpoint on a root moves up by a quarter of the width, then
+                # an eighth, and so on, until g is nonzero there.
+                step = (b - a) // 2
+                a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
+                while True:
+                    m += step
+                    sg = _sign_at_dyadic(g, m, s)
+                    if sg:
+                        break
+                    a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
+            return a, b, m, s, sg
+
+        found = []
+        signs = [_sign_at_dyadic(ints, -p, 0) for ints in chain]
+        v_lo = _variations(signs)
+        # (a, b, s, variations at a, variations at b, sign of g at a)
+        stack = [(-p, p, 0, v_lo, v_lo - self.distinct, signs[0])]
+        while stack:
+            a, b, s, v_a, v_b, sg_a = stack.pop()
+            if v_a - v_b == 1:
+                while (b - a) * w_den > w_num_q << s:
+                    a, b, m, s, sg = split(a, b, s)
+                    if sg == sg_a:
+                        a = m
+                    else:
+                        b = m
+                found.append(IsolatingInterval(Fraction(a, q << s), Fraction(b, q << s)))
+                continue
+            a, b, m, s, sg = split(a, b, s)
+            v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain[1:]])
+            if v_m > v_b:
+                stack.append((m, b, s, v_m, v_b, sg))
+            if v_a > v_m:
+                stack.append((a, m, s, v_a, v_m, sg_a))
+        return tuple(found)
+
+
+def _validated_width(width: RationalLike, what: str) -> Fraction:
+    w = to_rational(width)
+    if w <= 0:
+        raise ValueError(f"{what} width must be positive")
+    return w
 
 
 def isolate_roots(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> tuple[IsolatingInterval, ...]:
     """Disjoint sorted intervals, one per distinct real root, each at most ``width`` wide."""
     if f.is_zero or f.degree() == 0:
         raise ValueError("root isolation needs a nonconstant polynomial")
-    w = to_rational(width)
-    if w <= 0:
-        raise ValueError("isolation width must be positive")
-    g = f.square_free()
-    return _isolate_on_chain(g, sturm_chain(g), w)
+    return _RootContext(f).isolate(_validated_width(width, "isolation"))
 
 
 @dataclass(frozen=True)
@@ -224,18 +377,15 @@ def certify(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> RootCertificate:
     """Certify real-rootedness and simplicity, with isolating intervals."""
     if f.is_zero or f.degree() == 0:
         raise ValueError("certification needs a nonconstant polynomial")
-    w = to_rational(width)
-    if w <= 0:
-        raise ValueError("isolation width must be positive")
-    g = f.square_free()
-    chain = sturm_chain(g)
-    distinct = chain.count(None, None)
+    w = _validated_width(width, "isolation")
+    ctx = _RootContext(f)
+    g_degree = len(ctx.g) - 1
     return RootCertificate(
         degree=f.degree(),
-        distinct_real_roots=distinct,
-        is_real_rooted=distinct == g.degree(),
-        is_simple=g.degree() == f.degree(),
-        intervals=_isolate_on_chain(g, chain, w),
+        distinct_real_roots=ctx.distinct,
+        is_real_rooted=ctx.distinct == g_degree,
+        is_simple=g_degree == f.degree(),
+        intervals=ctx.isolate(w),
     )
 
 
@@ -249,20 +399,17 @@ def largest_root_enclosure(
     """
     if f.is_zero or f.degree() == 0:
         raise ValueError("largest-root enclosure needs a nonconstant polynomial")
-    w = to_rational(width)
-    if w <= 0:
-        raise ValueError("enclosure width must be positive")
-    g = f.square_free()
-    chain = sturm_chain(g)
-    total = chain.count(None, None)
+    w = _validated_width(width, "enclosure")
+    ctx = _RootContext(f)
+    total = ctx.distinct
     if total == 0:
         raise ValueError("polynomial has no real roots: largest-root radius is undefined")
 
     def inside(r: Fraction) -> int:
         # distinct roots in [-r, r]
-        return chain.count(-r, r) + (1 if g(-r) == 0 else 0)
+        return ctx.count(-r, r) + ctx.vanishes_at(-r)
 
-    if g(0) == 0 and total == 1:
+    if ctx.vanishes_at(Fraction(0)) and total == 1:
         return Fraction(0), Fraction(0)
     lo, hi = Fraction(0), cauchy_root_bound(f)
     while hi - lo > w:

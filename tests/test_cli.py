@@ -90,6 +90,19 @@ def test_verify_theorem_batch_requires_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_batch_size_errors(capsys):
+    cases = [
+        (("verify-theorem", "--trials", "-5", "--seed", "1"), "trials must be a positive integer"),
+        (("semigroup", "--trials", "-5", "--seed", "1"), "trials must be a positive integer"),
+        (("verify-theorem", "--trials", "0", "--seed", "1"), "trials must be a positive integer"),
+        (("verify-theorem", "--max-degree", "0", "--seed", "1"), "max degree must be at least 1"),
+        (("semigroup", "--max-degree", "-1", "--seed", "1"), "max degree must be at least 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
+
+
 def test_verify_lemma2(capsys):
     code, report, _ = run_json(
         capsys,
@@ -167,6 +180,12 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "certify", "--poly", "not json")
     assert code == 2
+
+    code, _, err = run(capsys, "certify", "--poly", '{"coeffs":[true,1]}')
+    assert code == 2 and "not JSON true" in err
+
+    code, _, err = run(capsys, "certify", "--poly", '{"coeffs":[1.5,1]}')
+    assert code == 2 and "floating-point" in err
 
     code, _, err = run(
         capsys,

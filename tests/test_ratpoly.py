@@ -163,6 +163,19 @@ def test_parse_literal_errors():
         parse_poly_literal('{"wrong":[]}')
     with pytest.raises(ValueError):
         parse_poly_literal('{"coeffs":["x"]}')
+    # JSON true/false would pass as the ints 1 and 0, and floats carry rounding error.
+    for bad in (
+        '{"coeffs":[true,1]}',
+        '{"coeffs":["1",false]}',
+        '{"coeffs":[0.5,1]}',
+        '{"coeffs":[null]}',
+        '{"roots":[[true,1]]}',
+        '{"roots":[["1",true]]}',
+        '{"roots":[["1",1]],"lead":true}',
+        '{"roots":[["1",1]],"lead":-2.0}',
+    ):
+        with pytest.raises(ValueError):
+            parse_poly_literal(bad)
 
 
 @given(polys, polys)

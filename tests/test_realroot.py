@@ -1,7 +1,9 @@
 """Sturm chains, exact root counting, isolation, and certification."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,21 @@ from laguerreflow import (
     count_real_roots,
     count_real_roots_open,
     isolate_roots,
+    laguerre_transform,
     largest_root_enclosure,
     monic_laguerre,
+    random_alpha,
+    random_poly,
+    random_real_rooted,
     scaled_hermite,
     sturm_chain,
 )
+from laguerreflow.realroot import _RootContext
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=10)
+small_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=4
+).map(Poly)
 
 
 def test_sturm_chain_structure():
@@ -209,3 +219,91 @@ def test_constructed_root_oracle():
         assert len(intervals) == distinct
         for (root, _), iv in zip(pairs, intervals):
             assert iv.lo < root <= iv.hi
+
+
+# Outputs of the rational-bisection isolator these must reproduce byte for byte.
+PINNED = json.loads(Path(__file__).with_name("realroot_pinned.json").read_text())
+PINNED_INPUTS = {
+    # Bisection midpoints land exactly on roots, so the nudge path runs.
+    "bisection_hits_roots": Poly.from_roots(
+        [(0, 1), (Fraction(1, 2), 1), (Fraction(-1, 2), 1), (-1, 1)]
+    ),
+    "x": Poly([0, 1]),
+    "x3_minus_x": Poly([0, -1, 0, 1]),
+    "repeated_negative_lead": Poly.from_roots(
+        [(0, 3), (Fraction(1, 2), 2), (-1, 1), (Fraction(7, 3), 2)], lead=Fraction(-5, 2)
+    ),
+    "negative_lead": Poly.from_roots(
+        [(Fraction(-3, 4), 1), (Fraction(1, 3), 1), (2, 1)], lead=-7
+    ),
+    # Remainder steps that scale by a negative leading coefficient an odd number
+    # of times: scaling by lc^k instead of |lc|^k flips a chain element here.
+    "sparse_negative_lead": Poly([1, -2, 0, 0, -2]),
+    "even_quartic": Poly([-3, 0, 4, 0, 1]),
+    "degree12_image": laguerre_transform(
+        Poly.from_roots(
+            [(0, 1), (Fraction(1, 3), 2), (1, 1), (Fraction(5, 2), 3), (4, 1), (7, 2), (12, 2)]
+        ),
+        AlphaParam(Fraction(3, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_pinned_outputs(name):
+    f = PINNED_INPUTS[name]
+    assert certify(f).to_json() == PINNED[name]["certify"]
+    intervals = isolate_roots(f, Fraction(1, 1024))
+    assert [iv.to_json() for iv in intervals] == PINNED[name]["isolate"]
+
+
+@settings(max_examples=60)
+@given(small_polys, small_polys, small_polys, st.sampled_from([-3, -1, 1, 2]))
+def test_context_square_free_part_matches_fraction_reference(a, b, c, lead):
+    f = a * b * b * c * c * c * Poly([lead])
+    if f.is_zero:
+        return
+    assert Poly(_RootContext(f).g).monic() == f.square_free()
+
+
+@settings(max_examples=40)
+@given(
+    st.dictionaries(root_values, st.integers(min_value=1, max_value=3), min_size=1, max_size=5),
+    st.sampled_from([Fraction(-5, 2), Fraction(-1), Fraction(1), Fraction(7, 3)]),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(3)]),
+    st.sampled_from([DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3)]),
+)
+def test_isolation_properties(roots, lead, offset, width):
+    f = Poly.from_roots(list(roots.items()), lead=lead)
+    if offset:
+        f = f * Poly([offset, 0, 1])  # two non-real roots
+    intervals = isolate_roots(f, width)
+    assert len(intervals) == len(roots)
+    for left, right in zip(intervals, intervals[1:]):
+        assert left.hi <= right.lo
+    for root, iv in zip(sorted(roots), intervals):
+        assert iv.lo < root <= iv.hi and iv.hi - iv.lo <= width
+
+
+def test_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(6):
+        cases.append(laguerre_transform(random_real_rooted(rng, 24), random_alpha(rng)))
+        cases.append(
+            laguerre_transform(random_real_rooted(rng, 24, nonneg=False), random_alpha(rng))
+        )
+        cases.append(random_real_rooted(rng, 24, nonneg=False))
+        cases.append(random_poly(rng, 24) * Poly([1, 1]))
+    assert max(f.degree() for f in cases) >= 20
+    for f in cases:
+        p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+        cert = certify(f)
+        # sympy's isolating intervals, refined well inside ours, one per distinct root.
+        roots = p.intervals(eps=sympy.Rational(1, 2**40))
+        assert cert.distinct_real_roots == len(roots) == len(cert.intervals)
+        for ((a, b), _), iv in zip(roots, cert.intervals):
+            assert iv.lo < Fraction(int(a.p), int(a.q))
+            assert Fraction(int(b.p), int(b.q)) <= iv.hi
