@@ -4,6 +4,10 @@ The central operator is L = x*d^2/dx^2 + (alpha+1)*d/dx, which sends x^k to
 k*(k+alpha)*x^(k-1) and therefore lowers degree by exactly one. On polynomials
 its exponential exp(-h*L) is a finite sum, so the flow is computed exactly
 over the rationals for any rational time h.
+
+The Laguerre and Hermite families and the basis-sum transform run over integer
+numerators with one common denominator, so each coefficient builds one Fraction.
+The flow stays a Fraction computation: it is the transform's independent check.
 """
 
 from __future__ import annotations
@@ -55,25 +59,45 @@ def generalized_binomial(top: Fraction, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
+def _monic_laguerre_ints(n: int, a: int, b: int) -> list[int]:
+    """b^n * monic_laguerre(n, a/b) as ascending integers, for b > 0.
+
+    x^(n-t) has coefficient (-1)^t C(n,t) prod_{j<t}(n+alpha-j); every step of
+    the walk over t is an exact integer division.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    out = [b**n]
+    for t in range(n):
+        out.append(-(out[-1] * (n - t) // (t + 1) // b) * (n * b + a - t * b))
+    return out[::-1]
+
+
 def laguerre(n: int, alpha: AlphaParam) -> Poly:
     """Associated Laguerre polynomial of degree n with exact coefficients.
 
     L_n(x) = sum_{i=0}^{n} (-1)^i * C(n+alpha, n-i) * x^i / i!
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    a = alpha.value
-    coeffs = []
-    for i in range(n + 1):
-        sign = -1 if i % 2 else 1
-        coeffs.append(sign * generalized_binomial(n + a, n - i) / math.factorial(i))
-    return Poly(coeffs)
+    ints = _monic_laguerre_ints(n, *alpha.value.as_integer_ratio())
+    den = (-1) ** n * math.factorial(n) * ints[-1]  # ints[-1] is b^n
+    return Poly([Fraction(c, den) for c in ints])
 
 
 def monic_laguerre(n: int, alpha: AlphaParam) -> Poly:
     """(-1)^n * n! * laguerre(n, alpha): the monic normalization."""
-    sign = -1 if n % 2 else 1
-    return laguerre(n, alpha) * Fraction(sign * math.factorial(n))
+    ints = _monic_laguerre_ints(n, *alpha.value.as_integer_ratio())
+    return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is b^n
+
+
+def _hermite_ints(k: int, u: int, v: int) -> list[int]:
+    """v^(k//2) * scaled_hermite(k, u/v) as ascending integers, for v > 0."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    out = [0] * (k + 1)
+    out[k] = v ** (k // 2)
+    for i in range(k, 1, -2):  # x^i has j = (k-i)/2; step to x^(i-2), j+1
+        out[i - 2] = -(out[i] * i * (i - 1) // ((k - i) // 2 + 1) // v) * u
+    return out
 
 
 def scaled_hermite(k: int, xi: XiParam) -> Poly:
@@ -82,15 +106,8 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
     The exponential series terminates because differentiation is nilpotent:
     H_k(x) = sum_{j=0}^{floor(k/2)} (-xi)^j * k! / (j! (k-2j)!) * x^(k-2j).
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    x = xi.value
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k // 2 + 1):
-        coeffs[k - 2 * j] = (
-            (-x) ** j * Fraction(math.factorial(k), math.factorial(j) * math.factorial(k - 2 * j))
-        )
-    return Poly(coeffs)
+    ints = _hermite_ints(k, *xi.value.as_integer_ratio())
+    return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is v^(k//2)
 
 
 def lambda_apply(f: Poly, alpha: AlphaParam) -> Poly:
@@ -128,15 +145,25 @@ def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
 def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly:
     """Map sum a_i x^i to sum (-1)^i i! a_i L_i, i.e. x^n -> monic_laguerre(n).
 
-    Computed as the Laguerre basis sum. With ``verify=True`` the result is
-    recomputed as heat_semigroup(f, alpha, 1) and the two paths are required
-    to agree exactly, as a built-in self-test.
+    Computed as the basis sum over integers: with f = sum F_i x^i / d and
+    alpha = a/b it is sum F_i b^(N-i) (b^i monic_laguerre(i)) over d b^N. With
+    ``verify=True`` the result is recomputed as heat_semigroup(f, alpha, 1) and
+    the two paths are required to agree exactly, as a built-in self-test.
     """
-    result = Poly.zero()
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
+    if f.is_zero:
+        return f
+    n = f.degree()
+    a, b = alpha.value.as_integer_ratio()
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    acc = [0] * (n + 1)
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
             continue
-        result = result + laguerre(i, alpha) * (a * (-1 if i % 2 else 1) * math.factorial(i))
+        scale = c.numerator * (d // c.denominator) * b ** (n - i)
+        for j, term in enumerate(_monic_laguerre_ints(i, a, b)):
+            acc[j] += scale * term
+    den = d * b**n
+    result = Poly([Fraction(c, den) for c in acc])
     if verify:
         flowed = heat_semigroup(f, alpha, Fraction(1))
         if flowed != result:

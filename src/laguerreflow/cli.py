@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import factorial
 
 from .basis import AlphaParam, XiParam, laguerre_transform
 from .flow import (
@@ -31,15 +30,17 @@ from .flow import (
     semigroup_check,
     verify_theorem1,
 )
-from .orthocheck import hermite_diagonal_reference, hermite_inner, laguerre_inner
-from .ratpoly import Poly, format_rational, parse_poly_literal, poly_literal, to_rational
+from .orthocheck import (
+    hermite_diagonal,
+    hermite_diagonal_reference,
+    hermite_inner,
+    laguerre_diagonal,
+    laguerre_inner,
+)
+from .ratpoly import format_rational, parse_poly_literal, poly_literal, to_rational
 from .realroot import DEFAULT_WIDTH, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
-
-
-def _parse_poly(text: str) -> Poly:
-    return parse_poly_literal(text)
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -65,7 +66,7 @@ def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = _parse_poly(args.poly)
+    f = parse_poly_literal(args.poly)
     alpha = _alpha(args)
     image = laguerre_transform(f, alpha, verify=args.verify)
     report = {
@@ -77,7 +78,7 @@ def _cmd_transform(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = _parse_poly(args.poly)
+    f = parse_poly_literal(args.poly)
     cert = certify(f, to_rational(args.width))
     report = {
         "command": "certify",
@@ -88,7 +89,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = _parse_poly(args.poly)
+    f = parse_poly_literal(args.poly)
     intervals = isolate_roots(f, to_rational(args.width))
     report = {
         "command": "isolate",
@@ -114,14 +115,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
     for n in range(top + 1):
         for m in range(n, top + 1):
             value = laguerre_inner(n, m, alpha)
-            if n == m:
-                expected = Fraction(1)
-                for i in range(1, n + 1):
-                    expected *= alpha.value + i
-                expected /= factorial(n)
-                ok = ok and value.coeff == expected
-            else:
-                ok = ok and value.is_zero
+            ok = ok and value.coeff == (laguerre_diagonal(n, alpha) if n == m else 0)
             laguerre_entries.append({"n": n, "m": m, "value": value.to_json()})
 
     hermite_entries = []
@@ -129,9 +123,8 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
     for k in range(top + 1):
         for n in range(k, top + 1):
             value = hermite_inner(k, n, xi)
+            ok = ok and value.coeff == (hermite_diagonal(k, xi) if k == n else 0)
             if k == n:
-                expected = 2 * factorial(k) * (2 * xi.value) ** k
-                ok = ok and value.coeff == expected
                 nominal = hermite_diagonal_reference(k)
                 diagonal_ratios.append(
                     {
@@ -141,8 +134,6 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
                         "ratio": format_rational(value.coeff / nominal),
                     }
                 )
-            else:
-                ok = ok and value.is_zero
             hermite_entries.append({"k": k, "n": n, "value": value.to_json()})
 
     report = {
@@ -160,7 +151,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.poly is not None:
         alpha = AlphaParam(to_rational(args.alpha if args.alpha is not None else "0"))
-        f = _parse_poly(args.poly)
+        f = parse_poly_literal(args.poly)
         result = verify_theorem1(f, alpha)
         report = {
             "command": "verify-theorem",
@@ -201,19 +192,16 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, bool]:
+    p = parse_poly_literal(args.p)
     localization = lemma1_localize(
-        args.k,
-        XiParam(to_rational(args.xi)),
-        _parse_poly(args.p),
-        _alpha(args),
-        to_rational(args.eta),
+        args.k, XiParam(to_rational(args.xi)), p, _alpha(args), to_rational(args.eta)
     )
     report = {
         "command": "verify-lemma1",
         "inputs": {
             "k": args.k,
             "xi": args.xi,
-            "p": poly_literal(_parse_poly(args.p)),
+            "p": poly_literal(p),
             "alpha": args.alpha,
             "eta": args.eta,
         },
@@ -223,14 +211,13 @@ def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, bool]:
-    localization = lemma2_localize(
-        args.k, _parse_poly(args.p), _alpha(args), to_rational(args.h)
-    )
+    p = parse_poly_literal(args.p)
+    localization = lemma2_localize(args.k, p, _alpha(args), to_rational(args.h))
     report = {
         "command": "verify-lemma2",
         "inputs": {
             "k": args.k,
-            "p": poly_literal(_parse_poly(args.p)),
+            "p": poly_literal(p),
             "alpha": args.alpha,
             "h": args.h,
         },
@@ -243,7 +230,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.poly is not None:
         if args.h1 is None or args.h2 is None:
             raise ValueError("--h1 and --h2 are required with --poly")
-        f = _parse_poly(args.poly)
+        f = parse_poly_literal(args.poly)
         equal = semigroup_check(f, _alpha(args), to_rational(args.h1), to_rational(args.h2))
         report = {
             "command": "semigroup",
@@ -276,7 +263,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict | str, bool]:
-    f = _parse_poly(args.poly)
+    f = parse_poly_literal(args.poly)
     trace = flow_trace(f, _alpha(args), _parse_grid(args.grid), to_rational(args.width))
     if args.format == "csv":
         lines = ["h,root_index,interval_lo,interval_hi,approx"]

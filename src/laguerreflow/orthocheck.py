@@ -2,6 +2,7 @@
 
 Every integral here is (polynomial) x (fixed weight), so linearity plus
 closed-form monomial moments give exact answers: no quadrature, no floats.
+Products and moments are integer numerators over one denominator per entry.
 Values are rational multiples of a single base constant per weight, kept as
 an explicit tag so incompatible constants can never be summed by accident.
 """
@@ -13,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import AlphaParam, XiParam, laguerre, scaled_hermite
-from .ratpoly import Poly, format_rational
+from .basis import AlphaParam, XiParam, _hermite_ints, _monic_laguerre_ints
+from .ratpoly import format_rational
 
 
 class MomentBase(enum.Enum):
@@ -98,13 +99,13 @@ def hermite_moment(m: int, xi: XiParam) -> MomentValue:
     return MomentValue(coeff, MomentBase.SQRT_PI_XI)
 
 
-def _weighted_integral(product: Poly, moment_of) -> MomentValue:
-    value = moment_of(0).scaled(Fraction(0))  # zero with the right tag
-    for j, c in enumerate(product.coeffs):
-        if c == 0:
-            continue
-        value = value + moment_of(j).scaled(c)
-    return value
+def _int_product(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, c in enumerate(q):
+                out[i + j] += a * c
+    return out
 
 
 def laguerre_inner(n: int, m: int, alpha: AlphaParam) -> MomentValue:
@@ -114,8 +115,15 @@ def laguerre_inner(n: int, m: int, alpha: AlphaParam) -> MomentValue:
     diagonal is prod_{i=1}^{n}(alpha+i) / n! in units of Gamma(alpha+1), and
     off-diagonal entries are exactly zero.
     """
-    product = laguerre(n, alpha) * laguerre(m, alpha)
-    return _weighted_integral(product, lambda j: laguerre_moment(j, alpha))
+    a, b = alpha.value.as_integer_ratio()
+    product = _int_product(_monic_laguerre_ints(n, a, b), _monic_laguerre_ints(m, a, b))
+    top = n + m
+    total, power = 0, 1  # Horner form of sum_j product[j] * prod_{i<=j}(i*b + a) * b^(top-j)
+    for j in range(top, -1, -1):
+        total = total * ((j + 1) * b + a) + product[j] * power
+        power *= b
+    den = (-1) ** top * math.factorial(n) * math.factorial(m) * b ** (2 * top)
+    return MomentValue(Fraction(total, den), MomentBase.GAMMA_ALPHA_PLUS_1)
 
 
 def hermite_inner(k: int, l: int, xi: XiParam) -> MomentValue:
@@ -126,8 +134,25 @@ def hermite_inner(k: int, l: int, xi: XiParam) -> MomentValue:
     """
     if xi.value <= 0:
         raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
-    product = scaled_hermite(k, xi) * scaled_hermite(l, xi)
-    return _weighted_integral(product, lambda j: hermite_moment(j, xi))
+    u, v = xi.value.as_integer_ratio()
+    product = _int_product(_hermite_ints(k, u, v), _hermite_ints(l, u, v))
+    top = (k + l) // 2
+    total, power = 0, 1  # Horner form of sum_t product[2t] * (2t-1)!! * (2u)^t * v^(top-t)
+    for t in range(top, -1, -1):
+        total = total * (2 * t + 1) * 2 * u + product[2 * t] * power
+        power *= v
+    den = v ** (top + k // 2 + l // 2)
+    return MomentValue(Fraction(2 * total, den), MomentBase.SQRT_PI_XI)
+
+
+def laguerre_diagonal(n: int, alpha: AlphaParam) -> Fraction:
+    """Exact Laguerre diagonal prod_{i=1}^{n}(alpha+i) / n!, in units Gamma(alpha+1)."""
+    return laguerre_moment(n, alpha).coeff / math.factorial(n)
+
+
+def hermite_diagonal(k: int, xi: XiParam) -> Fraction:
+    """Exact Hermite diagonal 2 * k! * (2*xi)^k, in units sqrt(pi*xi)."""
+    return hermite_diagonal_reference(k) * (2 * xi.value) ** k
 
 
 def hermite_diagonal_reference(k: int) -> Fraction:

@@ -1,6 +1,10 @@
 """Weighted-family polynomials, the lowering operator, and the heat flow."""
 
+import json
+import random
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from laguerreflow import (
     AlphaParam,
     Poly,
     XiParam,
+    basis,
     generalized_binomial,
     heat_semigroup,
     laguerre,
@@ -18,6 +23,7 @@ from laguerreflow import (
     monic_laguerre,
     scaled_hermite,
 )
+from laguerreflow.cli import main
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2), AlphaParam(Fraction(7, 3))]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -25,6 +31,21 @@ XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 polys = st.lists(rationals, max_size=6).map(Poly)
 steps = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+def _random_alphas(seed: int, count: int) -> list[AlphaParam]:
+    rng = random.Random(seed)
+    alphas = [AlphaParam(Fraction(12345, 9973)), AlphaParam(Fraction(10**15 + 37, 10**12 + 39))]
+    for _ in range(count):
+        den = rng.choice([1, 2, 3, 7, 64, 10**9 + 7, rng.randint(1, 10**18)])
+        alphas.append(AlphaParam(Fraction(rng.randint(0, 40 * den), den)))
+    return alphas
+
+
+def _textbook_laguerre(n: int, a: Fraction) -> Poly:
+    return Poly(
+        [(-1) ** i * generalized_binomial(n + a, n - i) / factorial(i) for i in range(n + 1)]
+    )
 
 
 def test_alpha_param_rejects_negative():
@@ -103,11 +124,13 @@ def test_scaled_hermite_recurrence():
 
 def test_scaled_hermite_is_gaussian_flow_of_monomial():
     # H_k arises by flowing x^k under the plain second-derivative heat flow.
-    from math import factorial
-
-    for xi in XIS:
+    rng = random.Random(9)
+    xis = XIS + [XiParam(Fraction(-7, 3)), XiParam(-1), XiParam(0)]
+    for _ in range(4):
+        xis.append(XiParam(Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))))
+    for xi in xis:
         s = xi.value
-        for k in range(0, 9):
+        for k in range(0, 21):
             expected = Poly.zero()
             for j in range(0, k // 2 + 1):
                 c = (-s) ** j * Fraction(factorial(k), factorial(j) * factorial(k - 2 * j))
@@ -175,6 +198,10 @@ def test_transform_pins():
     assert laguerre_transform(Poly.from_roots([(-2, 2)]), a0) == Poly([2, 0, 1])
     assert laguerre_transform(Poly.zero(), a0).is_zero
     assert laguerre_transform(Poly.constant(5), a0) == Poly.constant(5)
+    for alpha in _random_alphas(seed=3, count=3):
+        assert laguerre_transform(Poly.zero(), alpha, verify=True).is_zero
+        for c in [Fraction(1), Fraction(-17, 4), Fraction(10**20 + 1, 3**40)]:
+            assert laguerre_transform(Poly.constant(c), alpha, verify=True) == Poly.constant(c)
 
 
 def test_transform_degree_one():
@@ -189,3 +216,77 @@ def test_transform_degree_one():
 def test_transform_agrees_with_unit_time_flow(f):
     alpha = AlphaParam(Fraction(1, 2))
     assert laguerre_transform(f, alpha, verify=True) == heat_semigroup(f, alpha, 1)
+
+
+def test_laguerre_matches_textbook_sum():
+    for alpha in _random_alphas(seed=5, count=6):
+        for n in range(31):
+            expected = _textbook_laguerre(n, alpha.value)
+            assert laguerre(n, alpha) == expected
+            assert monic_laguerre(n, alpha) == expected * ((-1) ** n * factorial(n))
+
+
+def test_negative_degrees_are_rejected():
+    for build in (laguerre, monic_laguerre):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            build(-1, AlphaParam(1))
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        scaled_hermite(-1, XiParam(1))
+
+
+def test_transform_matches_basis_sum_reference():
+    # The image is sum_i a_i * monic_laguerre(i), built here from the textbook sum.
+    rng = random.Random(17)
+    for alpha in _random_alphas(seed=11, count=3):
+        for degree in range(0, 16, 3):
+            f = Poly(
+                [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(degree + 1)]
+            )
+            expected = Poly.zero()
+            for i, a in enumerate(f.coeffs):
+                expected = expected + _textbook_laguerre(i, alpha.value) * (
+                    a * (-1) ** i * factorial(i)
+                )
+            assert laguerre_transform(f, alpha) == expected
+
+
+PINNED = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED["transform"]))
+def test_pinned_transforms(name):
+    case = PINNED["transform"][name]
+    f = Poly([Fraction(c) for c in case["coeffs"]])
+    image = laguerre_transform(f, AlphaParam(Fraction(case["alpha"])), verify=True)
+    assert [str(c) for c in image.coeffs] == case["transformed"]
+
+
+def test_transform_paths_stay_independent(monkeypatch, capsys):
+    f = Poly([Fraction(1, 3), -2, 0, Fraction(5, 4)])
+    alpha = AlphaParam(Fraction(7, 3))
+    flowed = heat_semigroup(f, alpha, 1)
+    real = basis._monic_laguerre_ints
+
+    def perturbed(n, a, b):
+        ints = real(n, a, b)
+        if n == 3:
+            ints[1] += 1
+        return ints
+
+    monkeypatch.setattr(basis, "_monic_laguerre_ints", perturbed)
+    assert laguerre_transform(f, alpha) != flowed
+    with pytest.raises(ArithmeticError):
+        laguerre_transform(f, alpha, verify=True)
+    literal = '{"coeffs":["1/3","-2","0","5/4"]}'
+    code = main(["transform", "--verify", "--alpha", "7/3", "--poly", literal])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "property failure" in captured.err
+
+    def broken(n, a, b):
+        raise RuntimeError("basis kernel unavailable")
+
+    monkeypatch.setattr(basis, "_monic_laguerre_ints", broken)
+    with pytest.raises(RuntimeError):
+        laguerre_transform(f, alpha)
+    assert heat_semigroup(f, alpha, 1) == flowed
+    assert heat_semigroup(Poly([0, 0, 1]), AlphaParam(0), 1) == Poly([2, -4, 1])

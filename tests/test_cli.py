@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
-from laguerreflow import Poly, parse_poly_literal
+import pytest
+
+from laguerreflow import Poly, cli, parse_poly_literal
 from laguerreflow.cli import main
 
 
@@ -219,3 +223,33 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert (tmp_path / "nested.json").exists()
+
+
+PINNED_REPORTS = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())[
+    "report_sha256"
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report_bytes(capsys, name):
+    case = PINNED_REPORTS[name]
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_lemma_commands_parse_p_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_poly_literal(text)
+
+    monkeypatch.setattr(cli, "parse_poly_literal", counting)
+    for argv in (
+        ("verify-lemma2", "--k", "1", "--p", '{"coeffs":["-3","1"]}', "--h", "1/100"),
+        ("verify-lemma1", "--k", "2", "--xi", "1", "--p", '{"coeffs":["1"]}', "--eta", "1/10"),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1

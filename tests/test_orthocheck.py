@@ -14,9 +14,12 @@ from laguerreflow import (
     hermite_diagonal_reference,
     hermite_inner,
     hermite_moment,
+    laguerre,
     laguerre_inner,
     laguerre_moment,
+    scaled_hermite,
 )
+from laguerreflow.orthocheck import hermite_diagonal, laguerre_diagonal
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2)]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -111,3 +114,53 @@ def test_hermite_inner_off_diagonal_vanishes():
 def test_hermite_inner_rejects_nonpositive_xi():
     with pytest.raises(ValueError):
         hermite_inner(1, 1, XiParam(0))
+
+
+def _reference_inner(product, moment_of, base):
+    """Sum of the product's coefficients times Fraction moments, as MomentValues."""
+    value = MomentValue(Fraction(0), base)
+    for j, c in enumerate(product.coeffs):
+        value = value + moment_of(j).scaled(c)
+    return value
+
+
+LARGE_DENOMINATOR = Fraction(10**12 + 39, 10**11 + 3)
+
+
+def test_laguerre_inner_matches_moment_reference():
+    for alpha in ALPHAS + [AlphaParam(Fraction(7, 3)), AlphaParam(LARGE_DENOMINATOR)]:
+        for n in range(13):
+            for m in range(13):
+                product = laguerre(n, alpha) * laguerre(m, alpha)
+                expected = _reference_inner(
+                    product, lambda j: laguerre_moment(j, alpha), MomentBase.GAMMA_ALPHA_PLUS_1
+                )
+                value = laguerre_inner(n, m, alpha)
+                assert value == expected
+                assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
+                assert value.is_zero == (n != m)
+
+
+def test_hermite_inner_matches_moment_reference():
+    for xi in XIS + [XiParam(Fraction(5, 2)), XiParam(LARGE_DENOMINATOR)]:
+        for k in range(13):
+            for l in range(13):
+                product = scaled_hermite(k, xi) * scaled_hermite(l, xi)
+                expected = _reference_inner(
+                    product, lambda j: hermite_moment(j, xi), MomentBase.SQRT_PI_XI
+                )
+                value = hermite_inner(k, l, xi)
+                assert value == expected
+                assert value.base is MomentBase.SQRT_PI_XI
+                assert value.is_zero == (k != l)
+
+
+def test_table_diagonals():
+    for alpha in ALPHAS + [AlphaParam(LARGE_DENOMINATOR)]:
+        for n in range(10):
+            assert laguerre_diagonal(n, alpha) == laguerre_inner(n, n, alpha).coeff
+    assert laguerre_diagonal(2, AlphaParam(Fraction(1, 2))) == Fraction(15, 8)
+    for xi in XIS:
+        for k in range(10):
+            assert hermite_diagonal(k, xi) == 2 * factorial(k) * (2 * xi.value) ** k
+            assert hermite_diagonal(k, xi) == hermite_inner(k, k, xi).coeff
