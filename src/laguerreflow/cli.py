@@ -1,9 +1,14 @@
 """Command-line front end for scripted verification runs.
 
-Rationals cross the boundary as strings like "3/4" or "-2", never floats;
-decimal output appears only in fields labeled approx. Exit status is 0 when
-the requested check passes (or the command is purely computational), 1 when
-a verified property fails, and 2 on usage or domain errors.
+Rationals cross the boundary as strings like "3/4", "-2" or "0.5", never
+floats; decimal output appears only in fields labeled approx. Each command
+parses its arguments once and returns its parsed inputs, its result and its
+verdict; ``main`` alone builds the report {command, inputs, result} and
+writes every input in canonical form (a polynomial as its coefficient
+literal, a rational as "p/q", a grid as comma-joined rationals), so spellings
+of the same value give byte-identical reports. Exit status is 0 when the
+requested check passes (or the command is purely computational), 1 when a
+verified property fails, and 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from .basis import AlphaParam, XiParam, laguerre_transform
 from .flow import (
     counterexample_search,
     flow_trace,
-    hermite_radius_bound,
-    laguerre_radius_bound,
     lemma1_localize,
     lemma2_localize,
     random_alpha,
@@ -37,7 +40,7 @@ from .orthocheck import (
     laguerre_diagonal,
     laguerre_inner,
 )
-from .ratpoly import format_rational, parse_poly_literal, poly_literal, to_rational
+from .ratpoly import Poly, parse_poly_literal, poly_literal, to_rational
 from .realroot import DEFAULT_WIDTH, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
@@ -65,45 +68,30 @@ def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
     return random.Random(args.seed)
 
 
-def _cmd_transform(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = parse_poly_literal(args.poly)
-    alpha = _alpha(args)
+def _cmd_transform(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    f, alpha = parse_poly_literal(args.poly), _alpha(args)
     image = laguerre_transform(f, alpha, verify=args.verify)
-    report = {
-        "command": "transform",
-        "inputs": {"poly": poly_literal(f), "alpha": args.alpha},
-        "result": {"transformed": poly_literal(image), "display": str(image)},
+    result = {"transformed": poly_literal(image), "display": str(image)}
+    return {"poly": f, "alpha": alpha.value}, result, True
+
+
+def _cmd_certify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    f, width = parse_poly_literal(args.poly), to_rational(args.width)
+    return {"poly": f, "width": width}, certify(f, width).to_json(), True
+
+
+def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    f, width = parse_poly_literal(args.poly), to_rational(args.width)
+    intervals = isolate_roots(f, width)
+    result = {
+        "count": len(intervals),
+        "intervals": [iv.to_json() for iv in intervals],
+        "approx": [iv.approx() for iv in intervals],
     }
-    return report, True
+    return {"poly": f, "width": width}, result, True
 
 
-def _cmd_certify(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = parse_poly_literal(args.poly)
-    cert = certify(f, to_rational(args.width))
-    report = {
-        "command": "certify",
-        "inputs": {"poly": poly_literal(f), "width": args.width},
-        "result": cert.to_json(),
-    }
-    return report, True
-
-
-def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, bool]:
-    f = parse_poly_literal(args.poly)
-    intervals = isolate_roots(f, to_rational(args.width))
-    report = {
-        "command": "isolate",
-        "inputs": {"poly": poly_literal(f), "width": args.width},
-        "result": {
-            "count": len(intervals),
-            "intervals": [iv.to_json() for iv in intervals],
-            "approx": [iv.approx() for iv in intervals],
-        },
-    }
-    return report, True
-
-
-def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     alpha = _alpha(args)
     xi = XiParam(to_rational(args.xi))
     top = args.max_index
@@ -129,120 +117,77 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, bool]:
                 diagonal_ratios.append(
                     {
                         "k": k,
-                        "computed": format_rational(value.coeff),
-                        "nominal": format_rational(nominal),
-                        "ratio": format_rational(value.coeff / nominal),
+                        "computed": str(value.coeff),
+                        "nominal": str(nominal),
+                        "ratio": str(value.coeff / nominal),
                     }
                 )
             hermite_entries.append({"k": k, "n": n, "value": value.to_json()})
 
-    report = {
-        "command": "orthogonality",
-        "inputs": {"alpha": args.alpha, "xi": args.xi, "max_index": top},
-        "result": {
-            "laguerre": {"entries": laguerre_entries},
-            "hermite": {"entries": hermite_entries, "diagonal_ratios": diagonal_ratios},
-            "orthogonal": ok,
-        },
+    result = {
+        "laguerre": {"entries": laguerre_entries},
+        "hermite": {"entries": hermite_entries, "diagonal_ratios": diagonal_ratios},
+        "orthogonal": ok,
     }
-    return report, ok
+    return {"alpha": alpha.value, "xi": xi.value, "max_index": top}, result, ok
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.poly is not None:
         alpha = AlphaParam(to_rational(args.alpha if args.alpha is not None else "0"))
         f = parse_poly_literal(args.poly)
         result = verify_theorem1(f, alpha)
-        report = {
-            "command": "verify-theorem",
-            "inputs": {"poly": poly_literal(f), "alpha": format_rational(alpha.value)},
-            "result": result.to_json(),
-        }
-        return report, result.passed
+        return {"poly": f, "alpha": alpha.value}, result.to_json(), result.passed
 
     rng = _batch_rng(args, min_degree=1)
+    fixed = None if args.alpha is None else AlphaParam(to_rational(args.alpha))
     failures = []
     for _ in range(args.trials):
-        alpha = (
-            AlphaParam(to_rational(args.alpha)) if args.alpha is not None else random_alpha(rng)
-        )
+        alpha = fixed if fixed is not None else random_alpha(rng)
         f = random_real_rooted(rng, args.max_degree, nonneg=not args.allow_negative_roots)
         result = verify_theorem1(f, alpha)
         if not result.passed:
             failures.append(
                 {
                     "poly": poly_literal(f),
-                    "alpha": format_rational(alpha.value),
+                    "alpha": str(alpha.value),
                     "transformed": poly_literal(result.transformed),
                 }
             )
+    inputs = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "max_degree": args.max_degree,
+        "alpha": None if fixed is None else fixed.value,
+        "allow_negative_roots": args.allow_negative_roots,
+    }
     passed = not failures
-    report = {
-        "command": "verify-theorem",
-        "inputs": {
-            "trials": args.trials,
-            "seed": args.seed,
-            "max_degree": args.max_degree,
-            "alpha": args.alpha,
-            "allow_negative_roots": args.allow_negative_roots,
-        },
-        "result": {"trials": args.trials, "failures": failures, "passed": passed},
-    }
-    return report, passed
+    return inputs, {"trials": args.trials, "failures": failures, "passed": passed}, passed
 
 
-def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, bool]:
-    p = parse_poly_literal(args.p)
-    localization = lemma1_localize(
-        args.k, XiParam(to_rational(args.xi)), p, _alpha(args), to_rational(args.eta)
-    )
-    report = {
-        "command": "verify-lemma1",
-        "inputs": {
-            "k": args.k,
-            "xi": args.xi,
-            "p": poly_literal(p),
-            "alpha": args.alpha,
-            "eta": args.eta,
-        },
-        "result": localization.to_json(),
-    }
-    return report, localization.passed
+def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    p, xi = parse_poly_literal(args.p), XiParam(to_rational(args.xi))
+    alpha, eta = _alpha(args), to_rational(args.eta)
+    localization = lemma1_localize(args.k, xi, p, alpha, eta)
+    inputs = {"k": args.k, "xi": xi.value, "p": p, "alpha": alpha.value, "eta": eta}
+    return inputs, localization.to_json(), localization.passed
 
 
-def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, bool]:
-    p = parse_poly_literal(args.p)
-    localization = lemma2_localize(args.k, p, _alpha(args), to_rational(args.h))
-    report = {
-        "command": "verify-lemma2",
-        "inputs": {
-            "k": args.k,
-            "p": poly_literal(p),
-            "alpha": args.alpha,
-            "h": args.h,
-        },
-        "result": localization.to_json(),
-    }
-    return report, localization.passed
+def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    p, alpha, h = parse_poly_literal(args.p), _alpha(args), to_rational(args.h)
+    localization = lemma2_localize(args.k, p, alpha, h)
+    inputs = {"k": args.k, "p": p, "alpha": alpha.value, "h": h}
+    return inputs, localization.to_json(), localization.passed
 
 
-def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.poly is not None:
         if args.h1 is None or args.h2 is None:
             raise ValueError("--h1 and --h2 are required with --poly")
-        f = parse_poly_literal(args.poly)
-        equal = semigroup_check(f, _alpha(args), to_rational(args.h1), to_rational(args.h2))
-        report = {
-            "command": "semigroup",
-            "inputs": {
-                "poly": poly_literal(f),
-                "alpha": args.alpha,
-                "h1": args.h1,
-                "h2": args.h2,
-            },
-            "result": {"equal": equal},
-        }
-        return report, equal
+        f, alpha = parse_poly_literal(args.poly), _alpha(args)
+        h1, h2 = to_rational(args.h1), to_rational(args.h2)
+        equal = semigroup_check(f, alpha, h1, h2)
+        return {"poly": f, "alpha": alpha.value, "h1": h1, "h2": h2}, {"equal": equal}, equal
 
     rng = _batch_rng(args, min_degree=0)
     failures = 0
@@ -253,38 +198,28 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, bool]:
         h2 = random_rational(rng, -64, 64)
         if not semigroup_check(f, alpha, h1, h2):
             failures += 1
+    inputs = {"trials": args.trials, "seed": args.seed, "max_degree": args.max_degree}
     passed = failures == 0
-    report = {
-        "command": "semigroup",
-        "inputs": {"trials": args.trials, "seed": args.seed, "max_degree": args.max_degree},
-        "result": {"trials": args.trials, "failures": failures, "passed": passed},
-    }
-    return report, passed
+    return inputs, {"trials": args.trials, "failures": failures, "passed": passed}, passed
 
 
-def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict | str, bool]:
-    f = parse_poly_literal(args.poly)
-    trace = flow_trace(f, _alpha(args), _parse_grid(args.grid), to_rational(args.width))
+def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, dict | str, bool]:
+    f, alpha = parse_poly_literal(args.poly), _alpha(args)
+    grid, width = _parse_grid(args.grid), to_rational(args.width)
+    trace = flow_trace(f, alpha, grid, width)
+    inputs = {"poly": f, "alpha": alpha.value, "grid": grid, "width": width}
     if args.format == "csv":
         lines = ["h,root_index,interval_lo,interval_hi,approx"]
         lines.extend(",".join(row) for row in trace.csv_rows())
-        return "\n".join(lines), True
-    report = {
-        "command": "flow-trace",
-        "inputs": {"poly": poly_literal(f), "alpha": args.alpha, "grid": args.grid},
-        "result": trace.to_json(),
-    }
-    return report, True
+        return inputs, "\n".join(lines), True
+    return inputs, trace.to_json(), True
 
 
-def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, bool]:
-    points = counterexample_search(_alpha(args), _parse_grid(args.grid), args.k)
-    report = {
-        "command": "search-counterexamples",
-        "inputs": {"alpha": args.alpha, "k": args.k, "grid": args.grid},
-        "result": {"points": [p.to_json() for p in points]},
-    }
-    return report, True
+def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    alpha, grid = _alpha(args), _parse_grid(args.grid)
+    points = counterexample_search(alpha, grid, args.k)
+    inputs = {"alpha": alpha.value, "k": args.k, "grid": grid}
+    return inputs, {"points": [p.to_json() for p in points]}, True
 
 
 _COMMANDS = {
@@ -300,7 +235,7 @@ _COMMANDS = {
     "search-counterexamples": _cmd_search_counterexamples,
 }
 
-_WIDTH_DEFAULT = format_rational(DEFAULT_WIDTH)
+_WIDTH_DEFAULT = str(DEFAULT_WIDTH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,20 +334,41 @@ def _emit(text: str, output: str | None) -> None:
         handle.write("\n")
 
 
+def _canonical(value: object) -> object:
+    """An input as the report writes it: a literal, a rational string or a grid string."""
+    if isinstance(value, Poly):
+        return poly_literal(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, list):
+        return ",".join(str(q) for q in value)
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Exact results can outgrow the interpreter's int-to-str digit limit, so it
+    # is lifted while the command runs; to_rational bounds the literals instead.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        report, passed = _COMMANDS[args.command](args)
+        inputs, result, passed = _COMMANDS[args.command](args)
+        if not isinstance(result, str):
+            report = {
+                "command": args.command,
+                "inputs": {key: _canonical(value) for key, value in inputs.items()},
+                "result": result,
+            }
+            result = json.dumps(report, sort_keys=True, indent=2)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    if isinstance(report, str):
-        _emit(report, args.output)
-    else:
-        _emit(json.dumps(report, sort_keys=True, indent=2), args.output)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(result, args.output)
     return 0 if passed else 1
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .basis import AlphaParam, XiParam, heat_semigroup, laguerre, laguerre_transform, scaled_hermite
-from .ratpoly import Poly, RationalLike, format_rational, poly_literal, to_rational
+from .ratpoly import Poly, RationalLike, poly_literal, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
@@ -72,11 +72,11 @@ class LocalizationReport:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "window_lo": format_rational(self.window_lo),
-            "window_hi": format_rational(self.window_hi),
+            "window_lo": str(self.window_lo),
+            "window_hi": str(self.window_hi),
             "roots_in_window": self.roots_in_window,
             "passed": self.passed,
-            "radius_used": format_rational(self.radius_used),
+            "radius_used": str(self.radius_used),
             "degenerate_radius": self.degenerate_radius,
         }
 
@@ -100,9 +100,28 @@ def hermite_radius_bound(k: int, xi: XiParam) -> Fraction:
     return largest_root_enclosure(scaled_hermite(k, xi), DEFAULT_WIDTH)[1]
 
 
-def _require_nonzero_at_origin(p: Poly) -> None:
+def _require_k_and_cofactor(k: int, p: Poly) -> None:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     if p.is_zero or p(0) == 0:
         raise ValueError("p(0) must be nonzero (x must not divide p)")
+
+
+def _window_count(
+    k: int,
+    f: Poly,
+    alpha: AlphaParam,
+    time: Fraction,
+    centre: Fraction,
+    radius: Fraction,
+    scale: Fraction,
+    degenerate: bool,
+) -> LocalizationReport:
+    """Flow f for ``time`` and count its roots in centre -/+ 2*radius*scale; k or more pass."""
+    flowed = heat_semigroup(f, alpha, time)
+    lo, hi = centre - 2 * radius * scale, centre + 2 * radius * scale
+    count = count_real_roots_open(flowed, lo, hi)
+    return LocalizationReport(k, lo, hi, count, count >= k, radius, degenerate)
 
 
 def lemma2_localize(k: int, p: Poly, alpha: AlphaParam, h: RationalLike) -> LocalizationReport:
@@ -111,25 +130,12 @@ def lemma2_localize(k: int, p: Poly, alpha: AlphaParam, h: RationalLike) -> Loca
     s is the certified upper enclosure of the extreme root magnitude of the
     degree-k Laguerre polynomial; at least k roots inside means a pass.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    _require_nonzero_at_origin(p)
+    _require_k_and_cofactor(k, p)
     step = to_rational(h)
     if step <= 0:
         raise ValueError("flow time h must be positive")
-    flowed = heat_semigroup(Poly.monomial(k) * p, alpha, step)
     radius = laguerre_radius_bound(k, alpha)
-    lo, hi = -2 * radius * step, 2 * radius * step
-    count = count_real_roots_open(flowed, lo, hi)
-    return LocalizationReport(
-        k=k,
-        window_lo=lo,
-        window_hi=hi,
-        roots_in_window=count,
-        passed=count >= k,
-        radius_used=radius,
-        degenerate_radius=False,
-    )
+    return _window_count(k, Poly.monomial(k) * p, alpha, step, Fraction(0), radius, step, False)
 
 
 def lemma1_localize(
@@ -143,9 +149,7 @@ def lemma1_localize(
     and flagged, so the degenerate case is surfaced rather than silently
     passed or failed.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    _require_nonzero_at_origin(p)
+    _require_k_and_cofactor(k, p)
     step = to_rational(eta)
     if step <= 0:
         raise ValueError("eta must be positive (flow time is h = eta^2)")
@@ -159,18 +163,7 @@ def lemma1_localize(
     degenerate = k == 1
     radius = Fraction(1) if degenerate else hermite_radius_bound(k, xi)
     shifted = Poly((-xv, 1)) ** k * p.shift(-xv)
-    flowed = heat_semigroup(shifted, alpha, step * step)
-    lo, hi = xv - 2 * radius * step, xv + 2 * radius * step
-    count = count_real_roots_open(flowed, lo, hi)
-    return LocalizationReport(
-        k=k,
-        window_lo=lo,
-        window_hi=hi,
-        roots_in_window=count,
-        passed=count >= k,
-        radius_used=radius,
-        degenerate_radius=degenerate,
-    )
+    return _window_count(k, shifted, alpha, step * step, xv, radius, step, degenerate)
 
 
 def semigroup_check(f: Poly, alpha: AlphaParam, h1: RationalLike, h2: RationalLike) -> bool:
@@ -186,7 +179,7 @@ class FlowSample:
     certificate: RootCertificate
 
     def to_json(self) -> dict:
-        return {"h": format_rational(self.h), "certificate": self.certificate.to_json()}
+        return {"h": str(self.h), "certificate": self.certificate.to_json()}
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ class FlowTrace:
 
     def to_json(self) -> dict:
         return {
-            "alpha": format_rational(self.alpha.value),
+            "alpha": str(self.alpha.value),
             "input": poly_literal(self.input),
             "samples": [s.to_json() for s in self.samples],
         }
@@ -208,11 +201,9 @@ class FlowTrace:
         """Rows (h, root_index, interval_lo, interval_hi, approx) for plotting."""
         rows = []
         for sample in self.samples:
-            h = format_rational(sample.h)
+            h = str(sample.h)
             for idx, iv in enumerate(sample.certificate.intervals):
-                rows.append(
-                    [h, str(idx), format_rational(iv.lo), format_rational(iv.hi), iv.approx()]
-                )
+                rows.append([h, str(idx), str(iv.lo), str(iv.hi), iv.approx()])
         return rows
 
 
@@ -244,7 +235,7 @@ class SearchPoint:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"xi": format_rational(self.xi), "passed": self.passed}
+        return {"xi": str(self.xi), "passed": self.passed}
 
 
 def counterexample_search(

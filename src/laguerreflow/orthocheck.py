@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import AlphaParam, XiParam, _hermite_ints, _monic_laguerre_ints
-from .ratpoly import format_rational
 
 
 class MomentBase(enum.Enum):
@@ -56,7 +55,7 @@ class MomentValue:
         return MomentValue(self.coeff * s, self.base)
 
     def to_json(self) -> dict:
-        return {"coeff": format_rational(self.coeff), "base": self.base.value}
+        return {"coeff": str(self.coeff), "base": self.base.value}
 
 
 def double_factorial(n: int) -> int:

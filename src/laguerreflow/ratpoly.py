@@ -17,12 +17,16 @@ from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
+# Most digits, and largest exponent magnitude, a rational literal may have.
+LITERAL_DIGITS = 4300
+
 
 def to_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, "p/q" / integer string, or Fraction to a Fraction.
+    """Coerce an int, "p/q" / decimal / integer string, or Fraction to a Fraction.
 
     Floats are rejected: they would silently smuggle rounding error into a
-    kernel whose whole point is exactness.
+    kernel whose whole point is exactness. Strings are held to the literal
+    bound before they are parsed.
     """
     if isinstance(value, float):
         raise TypeError("floating-point values are not accepted; pass a Fraction or 'p/q' string")
@@ -31,6 +35,7 @@ def to_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_literal_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -38,9 +43,22 @@ def to_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" for integers), the CLI wire format."""
-    return str(q)
+def _check_literal_size(text: str) -> None:
+    """Refuse a literal with more than LITERAL_DIGITS digits or an exponent above it.
+
+    It counts characters, so it holds whatever the interpreter's int-to-str
+    limit is set to; without it "1e1000000000" would make
+    ``Fraction`` compute 10**1000000000.
+    """
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if sum(ch.isdecimal() for ch in text) > LITERAL_DIGITS or (
+        exponent.isdecimal()
+        and (len(exponent) > len(str(LITERAL_DIGITS)) or int(exponent) > LITERAL_DIGITS)
+    ):
+        raise ValueError(
+            f"rational literal exceeds the bound of {LITERAL_DIGITS} digits"
+            f" and exponent magnitude {LITERAL_DIGITS}"
+        )
 
 
 def approx_str(q: Fraction, digits: int = 12) -> str:
@@ -208,16 +226,6 @@ class Poly:
             result = result * xc + Poly.constant(coeff)
         return result
 
-    def scale_arg(self, s: RationalLike) -> "Poly":
-        """Return f(s * x)."""
-        factor = to_rational(s)
-        power = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= factor
-        return Poly(out)
-
     # -- euclidean structure -------------------------------------------
 
     def __divmod__(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
@@ -243,12 +251,6 @@ class Poly:
 
     def rem(self, divisor: "Poly") -> "Poly":
         return divmod(self, divisor)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        """True iff self divides other exactly (zero remainder)."""
-        if self.is_zero:
-            return other.is_zero
-        return divmod(other, self)[1].is_zero
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -330,11 +332,16 @@ def _literal_rational(value: object, what: str) -> Fraction:
         raise ValueError(f"{what}: {exc}") from exc
 
 
+def _bounded_int(text: str) -> int:
+    _check_literal_size(text)
+    return int(text)
+
+
 def parse_poly_literal(literal: Union[str, dict]) -> Poly:
     """Parse a polynomial literal given as a JSON string or decoded object."""
     if isinstance(literal, str):
         try:
-            obj = json.loads(literal)
+            obj = json.loads(literal, parse_int=_bounded_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"polynomial literal is not valid JSON: {exc}") from exc
     else:
@@ -369,4 +376,4 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
 
 def poly_literal(f: Poly) -> dict:
     """Serialize a polynomial to its canonical coefficient-form literal."""
-    return {"coeffs": [format_rational(c) for c in f.coeffs]}
+    return {"coeffs": [str(c) for c in f.coeffs]}

@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
-from .ratpoly import Poly, RationalLike, approx_str, format_rational, to_rational
+from .ratpoly import Poly, RationalLike, approx_str, to_rational
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
 
@@ -156,37 +155,6 @@ def _positive_lead(p: Ints) -> Ints:
     return p if p[-1] > 0 else tuple(-c for c in p)
 
 
-@dataclass(frozen=True)
-class SturmChain:
-    """Signed remainder chain f, f', -rem(f, f'), ... up to positive scaling.
-
-    Consecutive elements have strictly decreasing degrees and the last one is
-    a gcd-associate of gcd(f, f'). Only evaluation signs feed the counts, so
-    every element is stored as its primitive (integer, coprime) rescaling.
-    """
-
-    polys: tuple[Poly, ...]
-
-    @cached_property
-    def _ints(self) -> tuple[Ints, ...]:
-        return tuple(tuple(c.numerator for c in p.coeffs) for p in self.polys)
-
-    def count(self, lo: Optional[RationalLike], hi: Optional[RationalLike]) -> int:
-        """Distinct real roots in (lo, hi]; None means the matching infinity."""
-        return _count(
-            self._ints,
-            to_rational(lo) if lo is not None else None,
-            to_rational(hi) if hi is not None else None,
-        )
-
-
-def sturm_chain(f: Poly) -> SturmChain:
-    """Canonical signed-remainder chain of a nonzero polynomial."""
-    if f.is_zero:
-        raise ValueError("Sturm chain of the zero polynomial is undefined")
-    return SturmChain(tuple(Poly(p) for p in _sturm_sequence(_primitive_ints(f))))
-
-
 def _validated_bounds(
     lo: Optional[RationalLike], hi: Optional[RationalLike]
 ) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -244,7 +212,7 @@ class IsolatingInterval:
         return approx_str(self.midpoint(), digits)
 
     def to_json(self) -> list[str]:
-        return [format_rational(self.lo), format_rational(self.hi)]
+        return [str(self.lo), str(self.hi)]
 
 
 class _RootContext:

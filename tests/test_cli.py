@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import contextlib
 import hashlib
 import json
+import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from laguerreflow import Poly, cli, parse_poly_literal
+from laguerreflow import AlphaParam, Poly, cli, laguerre_transform, parse_poly_literal
 from laguerreflow.cli import main
 
 
@@ -150,10 +153,11 @@ def test_flow_trace_json_and_csv(capsys):
     code, report, _ = run_json(
         capsys,
         "flow-trace", "--poly", '{"roots":[["2",1],["5",1]]}', "--alpha", "0",
-        "--grid", "0,1/10,1",
+        "--grid", "0,1/10,1", "--width", "1/8",
     )
     assert code == 0
     assert len(report["result"]["samples"]) == 3
+    assert report["inputs"]["width"] == "1/8"
 
     code, out, _ = run(
         capsys,
@@ -201,6 +205,12 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "flow-trace", "--poly", '{"coeffs":["0","1"]}', "--grid", "1/2,1")
     assert code == 2 and "start at 0" in err
 
+    code, _, err = run(capsys, "transform", "--alpha", "1e4301", "--poly", '{"coeffs":["1"]}')
+    assert code == 2 and "bound of 4300 digits" in err
+
+    code, _, err = run(capsys, "certify", "--poly", '{"coeffs":[%s]}' % ("1" * 4301))
+    assert code == 2 and "bound of 4300 digits" in err
+
 
 def test_reports_are_byte_identical(capsys):
     args = ("verify-theorem", "--trials", "15", "--seed", "77")
@@ -234,7 +244,7 @@ PINNED_REPORTS = json.loads(Path(__file__).with_name("basis_pinned.json").read_t
 def test_pinned_report_bytes(capsys, name):
     case = PINNED_REPORTS[name]
     code, out, _ = run(capsys, *case["argv"])
-    assert code == 0
+    assert code == case.get("exit", 0)
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
@@ -253,3 +263,75 @@ def test_lemma_commands_parse_p_once(capsys, monkeypatch):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == 1
+
+
+QUAD = '{"coeffs":["-2","0","1"]}'
+RATIONAL_COMMANDS = {
+    "transform": lambda q: ("transform", "--alpha", q, "--poly", QUAD),
+    "certify": lambda q: ("certify", "--poly", QUAD, "--width", q),
+    "isolate": lambda q: ("isolate", "--poly", QUAD, "--width", q),
+    "orthogonality": lambda q: ("orthogonality", "--alpha", q, "--xi", q, "--max-index", "3"),
+    "verify-theorem": lambda q: ("verify-theorem", "--alpha", q, "--poly", '{"roots":[["2",2]]}'),
+    "verify-theorem-batch": lambda q: (
+        "verify-theorem", "--alpha", q, "--trials", "3", "--seed", "1"
+    ),
+    "verify-lemma1": lambda q: (
+        "verify-lemma1", "--k", "1", "--xi", q, "--p", '{"coeffs":["1"]}', "--alpha", q, "--eta", q
+    ),
+    "verify-lemma2": lambda q: (
+        "verify-lemma2", "--k", "1", "--p", '{"coeffs":["-3","1"]}', "--alpha", q, "--h", q
+    ),
+    "semigroup": lambda q: ("semigroup", "--poly", QUAD, "--alpha", q, "--h1", q, "--h2", q),
+    "flow-trace": lambda q: (
+        "flow-trace", "--poly", QUAD, "--alpha", q, "--grid", f"0,{q},1", "--width", q
+    ),
+    "search-counterexamples": lambda q: (
+        "search-counterexamples", "--alpha", q, "--k", "2", f"--grid=-2,{q}"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_COMMANDS))
+def test_rational_spellings_give_identical_reports(capsys, name):
+    runs = {run(capsys, *RATIONAL_COMMANDS[name](q)) for q in ("0.5", "1/2", "2/4", " 1/2 ")}
+    assert len(runs) == 1
+    code, out, err = runs.pop()
+    assert code == 0 and err == "" and '"1/2"' in out
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_results_beyond_the_int_str_limit(capsys):
+    # (x - 1/999999)^800: denominators of up to 4,800 digits, from a 30-character literal.
+    code, report, _ = run_json(capsys, "certify", "--poly", '{"roots":[["1/999999",800]]}')
+    assert code == 0 and report["result"]["distinct_real_roots"] == 1
+    expected = [Fraction(math.comb(800, i) * (-1) ** i, 999999**i) for i in range(801)][::-1]
+    with no_int_str_limit():
+        assert [Fraction(c) for c in report["inputs"]["poly"]["coeffs"]] == expected
+
+    monomial = json.dumps({"coeffs": ["0"] * 800 + ["1"]})
+    code, report, _ = run_json(capsys, "transform", "--alpha", "1/999999", "--poly", monomial)
+    assert code == 0
+    image = laguerre_transform(Poly.monomial(800), AlphaParam(Fraction(1, 999999)))
+    with no_int_str_limit():
+        assert Poly(Fraction(c) for c in report["result"]["transformed"]["coeffs"]) == image
+
+
+def test_main_restores_int_str_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    for argv in (
+        ("certify", "--poly", QUAD),
+        ("verify-theorem", "--alpha", "0", "--poly", '{"roots":[["-2",2]]}'),
+        ("certify", "--poly", '{"coeffs":["bad"]}'),
+        ("transform", "--alpha", "-1", "--poly", QUAD),
+    ):
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == before

@@ -26,7 +26,6 @@ from laguerreflow import (
     random_poly,
     random_real_rooted,
     scaled_hermite,
-    sturm_chain,
 )
 from laguerreflow.realroot import _RootContext
 
@@ -37,10 +36,7 @@ small_polys = st.lists(
 
 
 def test_sturm_chain_structure():
-    chain = sturm_chain(Poly([-2, 0, 1]))
-    assert list(chain.polys) == [Poly([-2, 0, 1]), Poly([0, 1]), Poly([1])]
-    with pytest.raises(ValueError):
-        sturm_chain(Poly.zero())
+    assert _RootContext(Poly([-2, 0, 1])).chain == ((-2, 0, 1), (0, 1), (1,))
 
 
 def test_count_pins():
