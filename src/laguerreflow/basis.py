@@ -6,8 +6,10 @@ its exponential exp(-h*L) is a finite sum, so the flow is computed exactly
 over the rationals for any rational time h.
 
 The Laguerre and Hermite families and the basis-sum transform run over integer
-numerators with one common denominator, so each coefficient builds one Fraction.
-The flow stays a Fraction computation: it is the transform's independent check.
+numerators with one common denominator (the transform takes its input's from
+``Poly.numerators``), so each coefficient builds one Fraction. L is applied by
+its coefficient formula. The flow stays a Fraction series: it is the
+transform's independent check.
 """
 
 from __future__ import annotations
@@ -111,21 +113,19 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
 
 
 def lambda_apply(f: Poly, alpha: AlphaParam) -> Poly:
-    """Apply the lowering operator: x*f'' + (alpha+1)*f'.
+    """Apply the lowering operator x*f'' + (alpha+1)*f', which sends x^j to j*(j+alpha)*x^(j-1).
 
-    For nonconstant f of degree n the image has degree exactly n-1, since the
-    leading coefficient maps c -> c*n*(n+alpha) and n*(n+alpha) > 0.
+    For nonconstant f of degree n the image has degree exactly n-1, since
+    n*(n+alpha) > 0.
     """
-    d1 = f.derivative()
-    d2 = d1.derivative()
-    return Poly.x() * d2 + d1 * (alpha.value + 1)
+    return Poly([j * (j + alpha.value) * c for j, c in enumerate(f.coeffs)][1:])
 
 
 def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
     """Exact flow exp(-h*L) f, as the finite series sum_j (-h)^j L^j f / j!.
 
     The series stops after deg(f)+1 terms because each application of L
-    lowers degree by one. Degree and leading coefficient are preserved.
+    lowers degree by exactly one. Degree and leading coefficient are preserved.
     """
     step = to_rational(h)
     if f.is_zero or step == 0:
@@ -135,8 +135,6 @@ def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
     scale = Fraction(1)
     for j in range(1, f.degree() + 1):
         power = lambda_apply(power, alpha)
-        if power.is_zero:
-            break
         scale *= -step / j
         acc = acc + power * scale
     return acc
@@ -154,12 +152,12 @@ def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly
         return f
     n = f.degree()
     a, b = alpha.value.as_integer_ratio()
-    d = math.lcm(*(c.denominator for c in f.coeffs))
+    nums, d = f.numerators()
     acc = [0] * (n + 1)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
+    for i, num in enumerate(nums):
+        if num == 0:
             continue
-        scale = c.numerator * (d // c.denominator) * b ** (n - i)
+        scale = num * b ** (n - i)
         for j, term in enumerate(_monic_laguerre_ints(i, a, b)):
             acc[j] += scale * term
     den = d * b**n

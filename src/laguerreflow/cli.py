@@ -40,7 +40,7 @@ from .orthocheck import (
     laguerre_diagonal,
     laguerre_inner,
 )
-from .ratpoly import Poly, parse_poly_literal, poly_literal, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, parse_poly_literal, poly_literal, to_rational
 from .realroot import DEFAULT_WIDTH, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
@@ -54,7 +54,7 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _alpha(args: argparse.Namespace) -> AlphaParam:
-    return AlphaParam(to_rational(args.alpha))
+    return AlphaParam(args.alpha)
 
 
 def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
@@ -65,6 +65,8 @@ def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
         raise ValueError(f"trials must be a positive integer, got {args.trials}")
     if args.max_degree < min_degree:
         raise ValueError(f"max degree must be at least {min_degree}, got {args.max_degree}")
+    if args.max_degree > LITERAL_DEGREE:
+        raise ValueError(f"max degree must be at most {LITERAL_DEGREE}, got {args.max_degree}")
     return random.Random(args.seed)
 
 
@@ -93,7 +95,7 @@ def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     alpha = _alpha(args)
-    xi = XiParam(to_rational(args.xi))
+    xi = XiParam(args.xi)
     top = args.max_index
     if top < 0:
         raise ValueError("max index must be nonnegative")
@@ -134,13 +136,13 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.poly is not None:
-        alpha = AlphaParam(to_rational(args.alpha if args.alpha is not None else "0"))
+        alpha = AlphaParam(args.alpha if args.alpha is not None else "0")
         f = parse_poly_literal(args.poly)
         result = verify_theorem1(f, alpha)
         return {"poly": f, "alpha": alpha.value}, result.to_json(), result.passed
 
     rng = _batch_rng(args, min_degree=1)
-    fixed = None if args.alpha is None else AlphaParam(to_rational(args.alpha))
+    fixed = None if args.alpha is None else AlphaParam(args.alpha)
     failures = []
     for _ in range(args.trials):
         alpha = fixed if fixed is not None else random_alpha(rng)
@@ -166,7 +168,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    p, xi = parse_poly_literal(args.p), XiParam(to_rational(args.xi))
+    p, xi = parse_poly_literal(args.p), XiParam(args.xi)
     alpha, eta = _alpha(args), to_rational(args.eta)
     localization = lemma1_localize(args.k, xi, p, alpha, eta)
     inputs = {"k": args.k, "xi": xi.value, "p": p, "alpha": alpha.value, "eta": eta}

@@ -4,7 +4,9 @@ Everything here is driven by exact rational arithmetic: flow times h are
 rational, the square-root scaling of the first localization lemma is handled
 by parametrizing h = eta^2, and window radii are certified rational upper
 enclosures of the relevant extreme roots, so every window-membership count
-is an exact Sturm count rather than a floating-point judgment.
+is an exact Sturm count rather than a floating-point judgment. Both lemmas
+flow (x^k * p)(x - centre), built by padding p's coefficients and one Taylor
+shift, with centre 0 for the Laguerre window and xi for the Hermite window.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _require_k_and_cofactor(k: int, p: Poly) -> None:
 
 def _window_count(
     k: int,
-    f: Poly,
+    p: Poly,
     alpha: AlphaParam,
     time: Fraction,
     centre: Fraction,
@@ -117,7 +119,8 @@ def _window_count(
     scale: Fraction,
     degenerate: bool,
 ) -> LocalizationReport:
-    """Flow f for ``time`` and count its roots in centre -/+ 2*radius*scale; k or more pass."""
+    """Flow (x^k * p)(x - centre) for ``time``; k or more roots in centre -/+ 2*radius*scale pass."""
+    f = Poly((0,) * k + p.coeffs).shift(-centre)
     flowed = heat_semigroup(f, alpha, time)
     lo, hi = centre - 2 * radius * scale, centre + 2 * radius * scale
     count = count_real_roots_open(flowed, lo, hi)
@@ -135,7 +138,7 @@ def lemma2_localize(k: int, p: Poly, alpha: AlphaParam, h: RationalLike) -> Loca
     if step <= 0:
         raise ValueError("flow time h must be positive")
     radius = laguerre_radius_bound(k, alpha)
-    return _window_count(k, Poly.monomial(k) * p, alpha, step, Fraction(0), radius, step, False)
+    return _window_count(k, p, alpha, step, Fraction(0), radius, step, False)
 
 
 def lemma1_localize(
@@ -162,8 +165,7 @@ def lemma1_localize(
         )
     degenerate = k == 1
     radius = Fraction(1) if degenerate else hermite_radius_bound(k, xi)
-    shifted = Poly((-xv, 1)) ** k * p.shift(-xv)
-    return _window_count(k, shifted, alpha, step * step, xv, radius, step, degenerate)
+    return _window_count(k, p, alpha, step * step, xv, radius, step, degenerate)
 
 
 def semigroup_check(f: Poly, alpha: AlphaParam, h1: RationalLike, h2: RationalLike) -> bool:
@@ -252,7 +254,7 @@ def counterexample_search(
     points = []
     for x in xi_grid:
         xv = to_rational(x)
-        result = verify_theorem1(Poly((-xv, 1)) ** k, alpha)
+        result = verify_theorem1(Poly.from_roots([(xv, k)]), alpha)
         points.append(SearchPoint(xv, result.passed))
     return points
 
@@ -271,9 +273,10 @@ def random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 64) -> 
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def random_alpha(rng: random.Random, hi: int = 5) -> AlphaParam:
+def random_alpha(rng: random.Random) -> AlphaParam:
+    """Uniformly chosen alpha = num/den in [0, 5] with 1 <= den <= 16."""
     den = rng.randint(1, 16)
-    return AlphaParam(Fraction(rng.randint(0, hi * den), den))
+    return AlphaParam(Fraction(rng.randint(0, 5 * den), den))
 
 
 def random_root_pairs(
@@ -296,12 +299,12 @@ def random_real_rooted(rng: random.Random, max_degree: int, nonneg: bool = True)
     return Poly.from_roots(random_root_pairs(rng, max_degree, nonneg), lead=lead)
 
 
-def random_poly(rng: random.Random, max_degree: int, bound: int = 64) -> Poly:
-    """Random dense polynomial with rational coefficients and nonzero lead."""
+def random_poly(rng: random.Random, max_degree: int) -> Poly:
+    """Random dense polynomial, coefficients from random_rational(rng, -64, 64), nonzero lead."""
     degree = rng.randint(0, max_degree)
-    coeffs = [random_rational(rng, -bound, bound) for _ in range(degree)]
+    coeffs = [random_rational(rng, -64, 64) for _ in range(degree)]
     lead = Fraction(0)
     while lead == 0:
-        lead = random_rational(rng, -bound, bound)
+        lead = random_rational(rng, -64, 64)
     coeffs.append(lead)
     return Poly(coeffs)

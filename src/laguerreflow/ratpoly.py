@@ -4,6 +4,10 @@ A polynomial is a tuple of ``fractions.Fraction`` coefficients in ascending
 degree order with no trailing zeros; the zero polynomial is the empty tuple.
 Every operation is exact: no floating point enters anywhere, so polynomial
 identity tests are fully reliable.
+
+``Poly.numerators`` (integer numerators over the least common denominator) is
+the one integer view that the kernels in ``basis`` and ``realroot`` start from.
+``from_roots`` and ``shift`` work on coefficient lists, not on Poly products.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ RationalLike = Union[Fraction, int, str]
 
 # Most digits, and largest exponent magnitude, a rational literal may have.
 LITERAL_DIGITS = 4300
+# Highest degree a polynomial literal, or a randomized batch, may have.
+LITERAL_DEGREE = 1000
 
 
 def to_rational(value: RationalLike) -> Fraction:
@@ -61,10 +67,10 @@ def _check_literal_size(text: str) -> None:
         )
 
 
-def approx_str(q: Fraction, digits: int = 12) -> str:
-    """Decimal approximation of a rational, for display only."""
+def approx_str(q: Fraction) -> str:
+    """Decimal approximation of a rational to 12 significant digits, for display only."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
@@ -112,17 +118,26 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Sequence[tuple[RationalLike, int]], lead: RationalLike = 1) -> "Poly":
-        """lead * prod (x - r)^m over the given (root, multiplicity) pairs."""
-        if to_rational(lead) == 0:
+        """lead * prod (x - r)^m over the given (root, multiplicity) pairs.
+
+        Each root a/b multiplies integer numerators by (b*x - a) and the
+        denominator by b, so every coefficient becomes a Fraction once.
+        """
+        num, den = to_rational(lead).as_integer_ratio()
+        if num == 0:
             raise ValueError("leading coefficient must be nonzero")
-        result = Poly.constant(lead)
+        nums = [num]
         for root, mult in roots:
             if mult < 1:
                 raise ValueError("root multiplicity must be a positive integer")
-            factor = Poly((-to_rational(root), 1))
+            a, b = to_rational(root).as_integer_ratio()
             for _ in range(mult):
-                result = result * factor
-        return result
+                nums.append(0)
+                for i in range(len(nums) - 1, 0, -1):
+                    nums[i] = b * nums[i - 1] - a * nums[i]
+                nums[0] *= -a
+            den *= b**mult
+        return Poly([Fraction(c, den) for c in nums])
 
     # -- basic structure ----------------------------------------------
 
@@ -149,6 +164,11 @@ class Poly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
+
+    def numerators(self) -> tuple[list[int], int]:
+        """(nums, d) with f = sum nums[i] * x^i / d and d the least common denominator."""
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     # -- ring operations ----------------------------------------------
 
@@ -188,18 +208,6 @@ class Poly:
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x: RationalLike) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
         point = to_rational(x)
@@ -219,12 +227,12 @@ class Poly:
         offset = to_rational(c)
         if offset == 0 or not self.coeffs:
             return self
-        # Horner on f with the shifted indeterminate (x + c).
-        result = Poly.zero()
-        xc = Poly((offset, 1))
-        for coeff in reversed(self.coeffs):
-            result = result * xc + Poly.constant(coeff)
-        return result
+        # Taylor shift: pass i leaves the coefficient of x^i final.
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += offset * cs[j + 1]
+        return Poly(cs)
 
     # -- euclidean structure -------------------------------------------
 
@@ -265,23 +273,6 @@ class Poly:
         if a.is_zero:
             return a
         return a.monic()
-
-    def primitive(self) -> "Poly":
-        """Scale by a positive rational so coefficients are coprime integers.
-
-        Evaluation signs are unchanged, which is all Sturm counting needs;
-        the integer form also keeps remainder-sequence coefficients small.
-        """
-        if self.is_zero:
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        nums = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for n in nums:
-            g = math.gcd(g, n)
-        return Poly([n // g for n in nums])
 
     def square_free(self) -> "Poly":
         """Monic f / gcd(f, f'): same distinct roots as f, all simple."""
@@ -337,6 +328,11 @@ def _bounded_int(text: str) -> int:
     return int(text)
 
 
+def _check_literal_degree(degree: int) -> None:
+    if degree > LITERAL_DEGREE:
+        raise ValueError(f"polynomial literal exceeds the degree bound of {LITERAL_DEGREE}")
+
+
 def parse_poly_literal(literal: Union[str, dict]) -> Poly:
     """Parse a polynomial literal given as a JSON string or decoded object."""
     if isinstance(literal, str):
@@ -354,6 +350,7 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, list):
             raise ValueError("'coeffs' must be a list of rational strings")
+        _check_literal_degree(len(coeffs) - 1)
         return Poly([_literal_rational(c, "coefficient") for c in coeffs])
     if "roots" in obj:
         roots = obj["roots"]
@@ -367,6 +364,7 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise ValueError("root multiplicity must be a positive integer")
             pairs.append((_literal_rational(root, "root"), mult))
+        _check_literal_degree(sum(mult for _, mult in pairs))
         lead = _literal_rational(obj.get("lead", 1), "'lead'")
         if lead == 0:
             raise ValueError("leading coefficient must be nonzero")

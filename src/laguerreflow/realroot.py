@@ -147,10 +147,6 @@ def _exact_quotient(a: Ints, b: Ints) -> Ints:
     return tuple(quot)
 
 
-def _primitive_ints(f: Poly) -> Ints:
-    return tuple(c.numerator for c in f.primitive().coeffs)
-
-
 def _positive_lead(p: Ints) -> Ints:
     return p if p[-1] > 0 else tuple(-c for c in p)
 
@@ -207,9 +203,9 @@ class IsolatingInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def approx(self, digits: int = 12) -> str:
+    def approx(self) -> str:
         """Decimal midpoint, display only."""
-        return approx_str(self.midpoint(), digits)
+        return approx_str(self.midpoint())
 
     def to_json(self) -> list[str]:
         return [str(self.lo), str(self.hi)]
@@ -223,7 +219,7 @@ class _RootContext:
     """
 
     def __init__(self, f: Poly):
-        p = _positive_lead(_primitive_ints(f))
+        p = _positive_lead(_primitive(f.numerators()[0]))
         seq = _sturm_sequence(p)
         if len(seq[-1]) > 1:
             # A repeated root: g = f / gcd(f, f') needs a chain of its own.

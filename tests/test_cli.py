@@ -104,6 +104,11 @@ def test_batch_size_errors(capsys):
         (("verify-theorem", "--trials", "0", "--seed", "1"), "trials must be a positive integer"),
         (("verify-theorem", "--max-degree", "0", "--seed", "1"), "max degree must be at least 1"),
         (("semigroup", "--max-degree", "-1", "--seed", "1"), "max degree must be at least 0"),
+        (
+            ("verify-theorem", "--trials", "2", "--seed", "1", "--max-degree", "100000000"),
+            "max degree must be at most 1000",
+        ),
+        (("semigroup", "--max-degree", "1001", "--seed", "1"), "max degree must be at most 1000"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -210,6 +215,9 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "certify", "--poly", '{"coeffs":[%s]}' % ("1" * 4301))
     assert code == 2 and "bound of 4300 digits" in err
+
+    code, _, err = run(capsys, "certify", "--poly", '{"roots":[["1",1000000000]]}')
+    assert code == 2 and "degree bound of 1000" in err
 
 
 def test_reports_are_byte_identical(capsys):

@@ -9,15 +9,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import laguerreflow
 from laguerreflow import Poly, parse_poly_literal, poly_literal, to_rational
+from laguerreflow.ratpoly import LITERAL_DEGREE
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 polys = st.lists(rationals, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda f: not f.is_zero)
+root_pairs = st.lists(st.tuples(rationals, st.integers(min_value=1, max_value=4)), max_size=4)
 
 
 def test_to_rational_coercion():
@@ -97,6 +99,17 @@ def test_from_roots():
         Poly.from_roots([(1, 1)], lead=0)
 
 
+@settings(max_examples=50)
+@given(root_pairs, rationals.filter(bool))
+@example([(Fraction(-5, 3), 2), (Fraction(7, 4), 4), (Fraction(1, 6), 1)], Fraction(-3, 8))
+def test_from_roots_is_the_product_of_linear_factors(roots, lead):
+    expected = Poly.constant(lead)
+    for root, mult in roots:
+        for _ in range(mult):
+            expected = expected * Poly((-root, 1))
+    assert Poly.from_roots(roots, lead=lead) == expected
+
+
 def test_arithmetic_pins():
     f = Poly([1, 1])
     assert f * f == Poly([1, 2, 1])
@@ -104,8 +117,6 @@ def test_arithmetic_pins():
     assert f - f == Poly.zero()
     assert 2 * f == Poly([2, 2])
     assert f * Fraction(1, 2) == Poly([Fraction(1, 2), Fraction(1, 2)])
-    assert f ** 3 == Poly([1, 3, 3, 1])
-    assert f ** 0 == Poly.one()
 
 
 def test_evaluation():
@@ -144,11 +155,10 @@ def test_gcd():
 
 
 def test_primitive():
-    f = Poly([Fraction(-1, 3), Fraction(1, 2)])
-    p = f.primitive()
-    assert p == Poly([-2, 3])
-    assert Poly([4, -2]).primitive() == Poly([2, -1])
-    assert Poly([0, -4, -2]).primitive() == Poly([0, -2, -1])
+    assert Poly([Fraction(-1, 3), Fraction(1, 2)]).numerators() == ([-2, 3], 6)
+    assert Poly([4, -2]).numerators() == ([4, -2], 1)
+    assert Poly([0, Fraction(-4, 5), Fraction(-2, 15)]).numerators() == ([0, -12, -2], 15)
+    assert Poly.zero().numerators() == ([], 1)
 
 
 def test_square_free():
@@ -204,6 +214,18 @@ def test_parse_literal_errors():
             parse_poly_literal(bad)
 
 
+def test_literal_degree_bound():
+    at_bound = {"coeffs": ["1"] * (LITERAL_DEGREE + 1)}
+    assert parse_poly_literal(at_bound).degree() == LITERAL_DEGREE
+    for bad in (
+        {"coeffs": ["1"] * (LITERAL_DEGREE + 2)},
+        {"roots": [["1/3", LITERAL_DEGREE - 1], ["-2", 2]]},
+        '{"roots":[["1",1000000000]]}',
+    ):
+        with pytest.raises(ValueError, match=f"degree bound of {LITERAL_DEGREE}"):
+            parse_poly_literal(bad)
+
+
 @given(polys, polys)
 def test_add_commutes(f, g):
     assert f + g == g + f
@@ -247,12 +269,10 @@ def test_division_identity(f, g):
 @settings(max_examples=50)
 @given(nonzero_polys)
 def test_primitive_is_integral_and_coprime(f):
-    p = f.primitive()
-    assert all(c.denominator == 1 for c in p.coeffs)
-    assert math.gcd(*(abs(c.numerator) for c in p.coeffs)) == 1
-    scale = f.leading() / p.leading()
-    assert scale > 0
-    assert p * scale == f
+    nums, d = f.numerators()
+    # d is the least common denominator iff no prime divides d and every numerator.
+    assert d > 0 and math.gcd(d, *nums) == 1
+    assert Poly(Fraction(n, d) for n in nums) == f
 
 
 @settings(max_examples=50)
