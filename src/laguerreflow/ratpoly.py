@@ -98,25 +98,6 @@ class Poly:
         return Poly(())
 
     @staticmethod
-    def one() -> "Poly":
-        return Poly((1,))
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
-    @staticmethod
-    def constant(c: RationalLike) -> "Poly":
-        return Poly((to_rational(c),))
-
-    @staticmethod
-    def monomial(n: int, c: RationalLike = 1) -> "Poly":
-        """c * x^n."""
-        if n < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return Poly((0,) * n + (to_rational(c),))
-
-    @staticmethod
     def from_roots(roots: Sequence[tuple[RationalLike, int]], lead: RationalLike = 1) -> "Poly":
         """lead * prod (x - r)^m over the given (root, multiplicity) pairs.
 

@@ -16,11 +16,23 @@ count_real_roots(f, lo, hi) counts distinct real roots in (lo, hi].
 Isolation bisects (-M, M], M = p/q the strict Cauchy bound of g, in two
 phases. While an interval holds two or more roots, Sturm counts split it; the
 variation counts at both ends ride along, so a split evaluates the chain at
-the midpoint only. An interval holding one root is then narrowed by the sign
-of g alone, which is nonzero at every endpoint: each is -M, M or a midpoint
-nudged off the roots of g. Endpoints are integer numerators over q*2^j, and
-the chain is rewritten once in y = q*x, so every evaluation is at a dyadic
-point and scales by shifts; Fractions are built only for the output.
+the midpoint only. A midpoint past an exact root bound (Kioustelidis, rounded
+up to a power of two by integer shifts) needs no evaluation at all: no root
+lies at or beyond it, so one half is empty, the other keeps the counts, and g
+has there the sign it has at the matching infinity.
+
+An interval holding one root is then narrowed by the sign of g alone, which
+is nonzero at every endpoint: each is -M, M or a midpoint nudged off the
+roots of g. Unless a midpoint lands on the root, that bisection ends in the
+cell of a fixed grid, set by the interval and the width, that holds the root.
+So a float Newton guess proposes the cell, and two exact signs confirm it:
+the sign of g at the left end on the cell's left edge and the opposite sign
+on its right edge put the root strictly inside, off every midpoint, which is
+where bisection ends too. Any other outcome, a root on a grid point included,
+runs the bisection itself, so the intervals are those of plain bisection.
+Endpoints are integer numerators over q*2^j, and the chain is rewritten once
+in y = q*x, so every evaluation is at a dyadic point and scales by shifts;
+Fractions are built only for the output.
 """
 
 from __future__ import annotations
@@ -60,6 +72,57 @@ def _sign_at_dyadic(ints: Ints, num: int, shift: int) -> int:
         scale += shift
         acc = acc * num + (c << scale)
     return _sign(acc)
+
+
+def _positive_root_bound(ints: Ints) -> int:
+    """A power of two, at least 1, above every positive root, or 0 when there is none.
+
+    Kioustelidis: a root y > 0 is below 2 * max (|a_{d-i}|/|lc|)^(1/i) over the
+    coefficients a_{d-i} of sign opposite to lc. Each term is rounded up to
+    2^t, the least t with |lc| * 2^(t*i) >= |a_{d-i}|, by shifts alone.
+    """
+    d = len(ints) - 1
+    lc = abs(ints[-1])
+    up = ints[-1] > 0
+    top = None
+    for i in range(1, d + 1):
+        c = ints[d - i]
+        if c == 0 or (c > 0) == up:
+            continue
+        c = abs(c)
+        e = c.bit_length() - lc.bit_length()  # |lc| * 2^e >= |c| for e or e + 1
+        if (lc << e if e >= 0 else lc) < (c if e >= 0 else c << -e):
+            e += 1
+        t = -(-e // i)
+        top = t if top is None else max(top, t)
+    return 0 if top is None else 1 << max(top + 1, 0)
+
+
+def _float_root(desc: list[float], lo: float, hi: float, sign_lo: int, tol: float) -> float:
+    """A float near the one root in (lo, hi) of the polynomial, coefficients descending.
+
+    Safeguarded Newton: a step that leaves the bracket bisects it instead, and
+    float signs move the bracket. The result only proposes; exact signs decide.
+    """
+    x = 0.5 * (lo + hi)
+    for _ in range(64):
+        v, dv = desc[0], 0.0
+        for c in desc[1:]:
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0:
+            return x
+        if (v > 0) == (sign_lo > 0):
+            lo = x
+        else:
+            hi = x
+        nx = x - v / dv if dv else 0.5 * (lo + hi)
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+        if abs(nx - x) <= tol:
+            return nx
+        x = nx
+    return x
 
 
 def _variations(signs: list[int]) -> int:
@@ -273,6 +336,43 @@ class _RootContext:
                     a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
             return a, b, m, s, sg
 
+        def confirmed_cell(a: int, b: int, s: int, sg_a: int) -> Optional[tuple[int, int, int]]:
+            """The cell bisection of the one-root (a, b] ends in, if a float guess finds it."""
+            cell = b - a
+            need, have = cell * w_den, w_num_q << s
+            if need <= have or g_float is None:
+                return None
+            # Unless a midpoint hits the root, bisection halves j times and
+            # ends in the cell (base + cell*k, base + cell*(k+1)] at scale s + j
+            # that holds the root.
+            j = need.bit_length() - have.bit_length()
+            if have << j < need:
+                j += 1
+            s_end, base = s + j, a << j
+            try:
+                r = _float_root(g_float, a / (q << s), b / (q << s), sg_a, cell / (q << s_end))
+                num, den = r.as_integer_ratio()
+            except (OverflowError, ValueError):
+                return None
+            k = ((num * q << s_end) - base * den) // (cell * den)
+            if not 0 <= k < 1 << j:
+                return None
+            lo = base + cell * k
+            # Signs sg_a at lo and -sg_a at lo + cell put the root strictly
+            # inside the cell, off every midpoint, so bisection ends there.
+            if (_sign_at_dyadic(g, lo, s_end) == sg_a
+                    and _sign_at_dyadic(g, lo + cell, s_end) == -sg_a):
+                return lo, lo + cell, s_end
+            return None
+
+        try:
+            g_float = [float(c) for c in reversed(self.g)]
+        except OverflowError:
+            g_float = None
+        # No root of g lies at or beyond pos, or at or below -neg.
+        pos = _positive_root_bound(g)
+        neg = _positive_root_bound(tuple(-c if i % 2 else c for i, c in enumerate(g)))
+        sg_minus = -1 if (len(g) - 1) % 2 else 1  # the sign of g at -infinity
         found = []
         signs = [_sign_at_dyadic(ints, -p, 0) for ints in chain]
         v_lo = _variations(signs)
@@ -281,6 +381,7 @@ class _RootContext:
         while stack:
             a, b, s, v_a, v_b, sg_a = stack.pop()
             if v_a - v_b == 1:
+                a, b, s = confirmed_cell(a, b, s, sg_a) or (a, b, s)
                 while (b - a) * w_den > w_num_q << s:
                     a, b, m, s, sg = split(a, b, s)
                     if sg == sg_a:
@@ -288,6 +389,14 @@ class _RootContext:
                     else:
                         b = m
                 found.append(IsolatingInterval(Fraction(a, q << s), Fraction(b, q << s)))
+                continue
+            # Past a root bound, the split needs no evaluation and cannot nudge.
+            m = a + b
+            if m > pos << (s + 1):
+                stack.append((2 * a, m, s + 1, v_a, v_b, sg_a))
+                continue
+            if m < -(neg << (s + 1)):
+                stack.append((m, 2 * b, s + 1, v_a, v_b, sg_minus))
                 continue
             a, b, m, s, sg = split(a, b, s)
             v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain[1:]])

@@ -47,7 +47,7 @@ def test_verify_theorem1_degree_one_always_passes():
 
 def test_verify_theorem1_rejects_constants():
     with pytest.raises(ValueError):
-        verify_theorem1(Poly.constant(2), A0)
+        verify_theorem1(Poly([2]), A0)
     with pytest.raises(ValueError):
         verify_theorem1(Poly.zero(), A0)
 
@@ -136,7 +136,7 @@ def test_lemma2_rejects_bad_hypotheses():
 
 
 def test_lemma1_pins():
-    rep = lemma1_localize(2, XiParam(1), Poly.one(), A0, Fraction(1, 10))
+    rep = lemma1_localize(2, XiParam(1), Poly([1]), A0, Fraction(1, 10))
     assert rep.roots_in_window == 2 and rep.passed
     assert not rep.degenerate_radius
     r = rep.radius_used
@@ -145,7 +145,7 @@ def test_lemma1_pins():
 
 
 def test_lemma1_degenerate_k1():
-    rep = lemma1_localize(1, XiParam(1), Poly.one(), A0, Fraction(1, 10))
+    rep = lemma1_localize(1, XiParam(1), Poly([1]), A0, Fraction(1, 10))
     assert rep.degenerate_radius and rep.radius_used == 1
     assert rep.window_lo == Fraction(4, 5) and rep.window_hi == Fraction(6, 5)
     assert rep.roots_in_window == 1 and rep.passed
@@ -153,15 +153,15 @@ def test_lemma1_degenerate_k1():
 
 def test_lemma1_rejects_bad_hypotheses():
     with pytest.raises(ValueError):
-        lemma1_localize(2, XiParam(0), Poly.one(), A0, Fraction(1, 10))
+        lemma1_localize(2, XiParam(0), Poly([1]), A0, Fraction(1, 10))
     with pytest.raises(ValueError, match="Hermite radius undefined"):
-        lemma1_localize(2, XiParam(-1), Poly.one(), A0, Fraction(1, 10))
+        lemma1_localize(2, XiParam(-1), Poly([1]), A0, Fraction(1, 10))
     with pytest.raises(ValueError):
         lemma1_localize(2, XiParam(1), Poly([0, 1]), A0, Fraction(1, 10))
     with pytest.raises(ValueError):
-        lemma1_localize(2, XiParam(1), Poly.one(), A0, 0)
+        lemma1_localize(2, XiParam(1), Poly([1]), A0, 0)
     with pytest.raises(ValueError):
-        lemma1_localize(0, XiParam(1), Poly.one(), A0, Fraction(1, 10))
+        lemma1_localize(0, XiParam(1), Poly([1]), A0, Fraction(1, 10))
 
 
 def test_semigroup_check_pins():
@@ -212,7 +212,7 @@ def test_flow_trace_grid_validation():
     with pytest.raises(ValueError):
         flow_trace(f, A0, [0, Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
-        flow_trace(Poly.constant(1), A0, [0, 1])
+        flow_trace(Poly([1]), A0, [0, 1])
 
 
 def test_flow_trace_serialization():

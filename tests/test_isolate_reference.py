@@ -1,0 +1,170 @@
+"""Isolation against plain bisection: the same cells, byte for byte.
+
+``reference_isolate`` is the isolation loop before the root-bound skip and
+the confirmed final cell, kept verbatim: Sturm splits of (-M, M] while an
+interval holds two or more roots, then bisection by the sign of g down to the
+width. ``_RootContext.isolate`` must return exactly its intervals.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laguerreflow import (
+    DEFAULT_WIDTH,
+    Poly,
+    laguerre_transform,
+    random_alpha,
+    random_rational,
+    random_real_rooted,
+)
+from laguerreflow import realroot
+from laguerreflow.realroot import (
+    IsolatingInterval,
+    _RootContext,
+    _sign_at_dyadic,
+    _variations,
+    cauchy_root_bound,
+)
+
+WIDTHS = (DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3), Fraction(4))
+
+
+def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInterval, ...]:
+    if ctx.distinct == 0:
+        return ()
+    bound = cauchy_root_bound(Poly(ctx.g))
+    p, q = bound.numerator, bound.denominator
+    # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
+    # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
+    chain = tuple(
+        tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in ctx.chain
+    )
+    g = chain[0]
+    # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
+    w_num_q, w_den = width.numerator * q, width.denominator
+
+    def split(a: int, b: int, s: int) -> tuple[int, int, int, int, int]:
+        """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
+        a, b, s = 2 * a, 2 * b, s + 1
+        m = (a + b) // 2
+        sg = _sign_at_dyadic(g, m, s)
+        if sg == 0:
+            # A midpoint on a root moves up by a quarter of the width, then
+            # an eighth, and so on, until g is nonzero there.
+            step = (b - a) // 2
+            a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
+            while True:
+                m += step
+                sg = _sign_at_dyadic(g, m, s)
+                if sg:
+                    break
+                a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
+        return a, b, m, s, sg
+
+    found = []
+    signs = [_sign_at_dyadic(ints, -p, 0) for ints in chain]
+    v_lo = _variations(signs)
+    # (a, b, s, variations at a, variations at b, sign of g at a)
+    stack = [(-p, p, 0, v_lo, v_lo - ctx.distinct, signs[0])]
+    while stack:
+        a, b, s, v_a, v_b, sg_a = stack.pop()
+        if v_a - v_b == 1:
+            while (b - a) * w_den > w_num_q << s:
+                a, b, m, s, sg = split(a, b, s)
+                if sg == sg_a:
+                    a = m
+                else:
+                    b = m
+            found.append(IsolatingInterval(Fraction(a, q << s), Fraction(b, q << s)))
+            continue
+        a, b, m, s, sg = split(a, b, s)
+        v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain[1:]])
+        if v_m > v_b:
+            stack.append((m, b, s, v_m, v_b, sg))
+        if v_a > v_m:
+            stack.append((a, m, s, v_a, v_m, sg_a))
+    return tuple(found)
+
+
+def assert_same_cells(f: Poly, widths=WIDTHS) -> None:
+    ctx = _RootContext(f)
+    for width in widths:
+        got = [iv.to_json() for iv in ctx.isolate(width)]
+        assert got == [iv.to_json() for iv in reference_isolate(ctx, width)], (f, width)
+
+
+def theorem_images(seed: int, count: int) -> list[Poly]:
+    """Images of the criterion-6 draws: degree <= 12, nonnegative roots."""
+    rng = random.Random(seed)
+    return [
+        laguerre_transform(random_real_rooted(rng, 12), random_alpha(rng)) for _ in range(count)
+    ]
+
+
+def test_criterion_6_images():
+    images = theorem_images(6, 100)
+    assert {f.degree() for f in images} == set(range(1, 13))
+    for f in images:
+        assert_same_cells(f)
+
+
+def test_degree_24_images():
+    rng = random.Random(24)
+    for _ in range(3):
+        roots = [(random_rational(rng, 0, 64), 1) for _ in range(24)]
+        f = laguerre_transform(Poly.from_roots(roots), random_alpha(rng))
+        assert_same_cells(f, (DEFAULT_WIDTH,))
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [(Fraction(-7, 3), 1), (Fraction(1, 5), 2), (Fraction(9, 2), 1), (40, 1)],  # mixed signs
+        [(-1, 1), (Fraction(-13, 7), 1), (-30, 2), (Fraction(-1, 1000), 1)],  # all negative
+        [(0, 1), (-3, 1), (Fraction(-5, 7), 1)],  # a root at 0, none positive
+        [(0, 2), (Fraction(1, 9), 1), (Fraction(11, 3), 1)],  # a root at 0, none negative
+    ],
+)
+def test_root_signs(roots):
+    f = Poly.from_roots(roots, lead=Fraction(-3, 2)) * Poly([5, 1, 1])
+    assert_same_cells(f)
+
+
+def test_coefficients_beyond_float_range():
+    assert_same_cells(Poly([10**400, 0, -1]))
+    assert_same_cells(Poly([-(10**400), 3, 0, 1]))
+    # The coefficients fit a float, but g overflows at the first Newton point.
+    assert_same_cells(Poly([-(10**300), 0, 0, 7, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.integers(min_value=-64, max_value=64).map(lambda n: Fraction(n, 16)),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    st.sampled_from([Fraction(1), Fraction(-2, 3)]),
+)
+def test_dyadic_roots(roots, lead):
+    # Small dyadic roots sit on the bisection grids, so midpoints hit them.
+    assert_same_cells(Poly.from_roots([(r, 1) for r in roots], lead=lead))
+
+
+def test_wrong_guess_falls_back_to_bisection(monkeypatch):
+    calls = []
+    float_root = realroot._float_root
+
+    def next_cell(desc, lo, hi, sign_lo, tol):
+        calls.append(tol)
+        return float_root(desc, lo, hi, sign_lo, tol) + tol
+
+    monkeypatch.setattr(realroot, "_float_root", next_cell)
+    for f in theorem_images(7, 12):
+        assert_same_cells(f, (DEFAULT_WIDTH,))
+    assert calls

@@ -142,7 +142,7 @@ def test_certify_rejects_trivial_inputs():
     with pytest.raises(ValueError):
         certify(Poly.zero())
     with pytest.raises(ValueError):
-        certify(Poly.constant(3))
+        certify(Poly([3]))
 
 
 def test_certify_json_shape():
