@@ -48,19 +48,6 @@ class XiParam:
         object.__setattr__(self, "value", to_rational(value))
 
 
-def generalized_binomial(top: Fraction, k: int) -> Fraction:
-    """Binomial coefficient C(top, k) = top*(top-1)*...*(top-k+1) / k!.
-
-    Computed as an explicit rational product; top may be any rational.
-    """
-    if k < 0:
-        raise ValueError("binomial index must be nonnegative")
-    num = Fraction(1)
-    for j in range(k):
-        num *= top - j
-    return num / math.factorial(k)
-
-
 def _monic_laguerre_ints(n: int, a: int, b: int) -> list[int]:
     """b^n * monic_laguerre(n, a/b) as ascending integers, for b > 0.
 

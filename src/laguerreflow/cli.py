@@ -14,11 +14,11 @@ verified property fails, and 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .basis import AlphaParam, XiParam, laguerre_transform
 from .flow import (
@@ -144,13 +144,14 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     rng = _batch_rng(args, min_degree=1)
     fixed = None if args.alpha is None else AlphaParam(args.alpha)
     failures = []
-    for _ in range(args.trials):
+    for trial in range(args.trials):
         alpha = fixed if fixed is not None else random_alpha(rng)
         f = random_real_rooted(rng, args.max_degree, nonneg=not args.allow_negative_roots)
         result = verify_theorem1(f, alpha)
         if not result.passed:
             failures.append(
                 {
+                    "trial": trial,
                     "poly": poly_literal(f),
                     "alpha": str(alpha.value),
                     "transformed": poly_literal(result.transformed),
@@ -192,17 +193,22 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         return {"poly": f, "alpha": alpha.value, "h1": h1, "h2": h2}, {"equal": equal}, equal
 
     rng = _batch_rng(args, min_degree=0)
-    failures = 0
-    for _ in range(args.trials):
+    failures = []
+    for trial in range(args.trials):
         f = random_poly(rng, args.max_degree)
         alpha = random_alpha(rng)
         h1 = random_rational(rng, -64, 64)
         h2 = random_rational(rng, -64, 64)
         if not semigroup_check(f, alpha, h1, h2):
-            failures += 1
+            failures.append({"trial": trial, "poly": poly_literal(f), "alpha": str(alpha.value),
+                             "h1": str(h1), "h2": str(h2)})
     inputs = {"trials": args.trials, "seed": args.seed, "max_degree": args.max_degree}
-    passed = failures == 0
-    return inputs, {"trials": args.trials, "failures": failures, "passed": passed}, passed
+    passed = not failures
+    result = {"trials": args.trials, "failures": len(failures), "passed": passed}
+    if failures:
+        # Only a failing report has this key, so passing reports keep their bytes.
+        result["failed_trials"] = failures
+    return inputs, result, passed
 
 
 def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, dict | str, bool]:
@@ -347,6 +353,28 @@ def _canonical(value: object) -> object:
     return value
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, without its pure-Python encoder.
+
+    A report holds dicts with str keys, lists or tuples, str, int, bool and None.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Exact results can outgrow the interpreter's int-to-str digit limit, so it
@@ -361,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
                 "inputs": {key: _canonical(value) for key, value in inputs.items()},
                 "result": result,
             }
-            result = json.dumps(report, sort_keys=True, indent=2)
+            result = _json_text(report)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

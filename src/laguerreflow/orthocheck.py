@@ -29,7 +29,7 @@ class MomentBase(enum.Enum):
 class MomentValue:
     """Exact value of a weighted integral: ``coeff`` times the base constant.
 
-    Values with different base tags are never added; a zero coefficient
+    The tag keeps values over different constants apart; a zero coefficient
     represents the zero value regardless of tag.
     """
 
@@ -40,31 +40,8 @@ class MomentValue:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def __add__(self, other: "MomentValue") -> "MomentValue":
-        if not isinstance(other, MomentValue):
-            return NotImplemented
-        if self.is_zero:
-            return MomentValue(other.coeff, other.base if not other.is_zero else self.base)
-        if other.is_zero:
-            return self
-        if self.base is not other.base:
-            raise ValueError(f"cannot add values over {self.base.value} and {other.base.value}")
-        return MomentValue(self.coeff + other.coeff, self.base)
-
-    def scaled(self, s: Fraction) -> "MomentValue":
-        return MomentValue(self.coeff * s, self.base)
-
     def to_json(self) -> dict:
         return {"coeff": str(self.coeff), "base": self.base.value}
-
-
-def double_factorial(n: int) -> int:
-    """Product n * (n-2) * (n-4) * ...; empty product (n <= 0) is 1."""
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
 
 
 def laguerre_moment(m: int, alpha: AlphaParam) -> MomentValue:
@@ -79,23 +56,6 @@ def laguerre_moment(m: int, alpha: AlphaParam) -> MomentValue:
     for i in range(1, m + 1):
         coeff *= alpha.value + i
     return MomentValue(coeff, MomentBase.GAMMA_ALPHA_PLUS_1)
-
-
-def hermite_moment(m: int, xi: XiParam) -> MomentValue:
-    """Moment of x^m against e^(-x^2/(4*xi)) on the whole line.
-
-    Odd moments vanish by symmetry; for m = 2t the Gaussian with variance
-    2*xi gives (2t-1)!! * (2*xi)^t times the total mass 2*sqrt(pi*xi).
-    """
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if xi.value <= 0:
-        raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
-    if m % 2:
-        return MomentValue(Fraction(0), MomentBase.SQRT_PI_XI)
-    t = m // 2
-    coeff = 2 * double_factorial(2 * t - 1) * (2 * xi.value) ** t
-    return MomentValue(coeff, MomentBase.SQRT_PI_XI)
 
 
 def _int_product(p: list[int], q: list[int]) -> list[int]:

@@ -197,11 +197,7 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    # -- calculus and substitutions -----------------------------------
-
-    def derivative(self) -> "Poly":
-        """Exact formal derivative."""
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+    # -- substitution -------------------------------------------------
 
     def shift(self, c: RationalLike) -> "Poly":
         """Compose with x -> x + c, i.e. return f(x + c)."""
@@ -214,55 +210,6 @@ class Poly:
             for j in range(len(cs) - 2, i - 1, -1):
                 cs[j] += offset * cs[j + 1]
         return Poly(cs)
-
-    # -- euclidean structure -------------------------------------------
-
-    def __divmod__(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division: self = q * divisor + r with deg r < deg divisor."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or len(self.coeffs) < len(divisor.coeffs):
-            return Poly.zero(), self
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dn = len(dcs) - 1
-        lead = dcs[-1]
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - dn] = q
-            for j in range(dn + 1):
-                rem[i - dn + j] -= q * dcs[j]
-        return Poly(quot), Poly(rem)
-
-    def rem(self, divisor: "Poly") -> "Poly":
-        return divmod(self, divisor)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("the zero polynomial cannot be made monic")
-        return self * (1 / self.leading())
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (Euclid over the rationals)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.rem(b)
-        if a.is_zero:
-            return a
-        return a.monic()
-
-    def square_free(self) -> "Poly":
-        """Monic f / gcd(f, f'): same distinct roots as f, all simple."""
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no square-free part")
-        d = self.gcd(self.derivative())
-        q, r = divmod(self, d)
-        assert r.is_zero
-        return q.monic()
 
     # -- display --------------------------------------------------------
 

