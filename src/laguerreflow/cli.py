@@ -99,6 +99,8 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     top = args.max_index
     if top < 0:
         raise ValueError("max index must be nonnegative")
+    if top > LITERAL_DEGREE:
+        raise ValueError(f"max index must be at most {LITERAL_DEGREE}, got {top}")
     ok = True
 
     laguerre_entries = []
@@ -337,9 +339,12 @@ def _emit(text: str, output: str | None) -> None:
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write report to {path}: {exc.strerror or exc}") from exc
 
 
 def _canonical(value: object) -> object:
@@ -390,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
                 "result": result,
             }
             result = _json_text(report)
+        _emit(result, args.output)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -398,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         sys.set_int_max_str_digits(limit)
-    _emit(result, args.output)
     return 0 if passed else 1
 
 

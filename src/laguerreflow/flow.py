@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .basis import AlphaParam, XiParam, heat_semigroup, laguerre, laguerre_transform, scaled_hermite
-from .ratpoly import Poly, RationalLike, poly_literal, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, poly_literal, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
@@ -102,9 +102,15 @@ def hermite_radius_bound(k: int, xi: XiParam) -> Fraction:
     return largest_root_enclosure(scaled_hermite(k, xi), DEFAULT_WIDTH)[1]
 
 
-def _require_k_and_cofactor(k: int, p: Poly) -> None:
+def _require_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if k > LITERAL_DEGREE:
+        raise ValueError(f"k must be at most {LITERAL_DEGREE}, got {k}")
+
+
+def _require_k_and_cofactor(k: int, p: Poly) -> None:
+    _require_k(k)
     if p.is_zero or p(0) == 0:
         raise ValueError("p(0) must be nonzero (x must not divide p)")
 
@@ -249,8 +255,7 @@ def counterexample_search(
     probes the mixed-sign regime where that can fail (for k = 2 the exact
     boundary is xi = -(alpha+2)/2).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _require_k(k)
     points = []
     for x in xi_grid:
         xv = to_rational(x)

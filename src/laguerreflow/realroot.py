@@ -26,11 +26,10 @@ signs confirm it: g nonzero at its edges, with opposite signs. If an
 interval's Sturm count equals the number n of confirmed cells inside it, each
 cell holds exactly one root and no other root lies in the interval, so no grid
 point down to the final depth is a root, nothing is nudged, and bisection ends
-in those cells. Such an interval splits with no chain evaluation: the cells
-give the counts of the halves, and the sign of g flips once per root. Every
-other interval, one where a proposal is missing or failed or one below a
-nudge, takes the Sturm split and the bisection by sign. The chain's count
-stays the oracle: more confirmed cells than it raises ArithmeticError.
+in those cells: isolation returns them at once. Every other interval, one
+where a proposal is missing or failed or one below a nudge, takes the Sturm
+split and the bisection by sign. The chain's count stays the oracle: more
+confirmed cells than it raises ArithmeticError.
 
 A midpoint past an exact root bound (Kioustelidis, rounded up to a power of
 two by integer shifts) needs no evaluation at all: no root lies at or beyond
@@ -39,8 +38,8 @@ it has at the matching infinity.
 
 Endpoints are integer numerators over q*2^j, and g (the rest of the chain
 when a split first needs it) is rewritten in y = q*x, so every evaluation is
-at a dyadic point and scales by shifts;
-Fractions are built only for the output.
+at a dyadic point and scales by shifts. Fractions are built only for the
+output.
 """
 
 from __future__ import annotations
@@ -418,11 +417,15 @@ class _RootContext:
             i, n = held(a, b, s)
             if n > v_a - v_b:
                 raise ArithmeticError("more confirmed cells than Sturm roots in an interval")
+            if n == v_a - v_b:
+                # Each root lies strictly inside its own cell, where bisection ends.
+                for k in confirmed[i : i + n]:
+                    lo = (-p << d_end) + 2 * p * k
+                    found.append(
+                        IsolatingInterval(Fraction(lo, q << d_end), Fraction(lo + 2 * p, q << d_end))
+                    )
+                continue
             if v_a - v_b == 1:
-                if n:
-                    # The root lies strictly inside the cell, where bisection ends.
-                    a = (-p << d_end) + 2 * p * confirmed[i]
-                    b, s = a + 2 * p, d_end
                 while (b - a) * w_den > w_num_q << s:
                     a, b, m, s, sg = split(a, b, s)
                     if sg == sg_a:
@@ -439,18 +442,10 @@ class _RootContext:
             if m < -(neg << (s + 1)):
                 stack.append((m, 2 * b, s + 1, v_a, v_b, sg_minus))
                 continue
-            if n == v_a - v_b:
-                # Each root lies strictly inside its own confirmed cell, so no
-                # grid point down to d_end is a root: the cells give the counts
-                # of the halves, and the sign of g flips once per root.
-                left = held(2 * a, m, s + 1)[1]
-                a, b, s = 2 * a, 2 * b, s + 1
-                v_m, sg = v_a - left, -sg_a if left % 2 else sg_a
-            else:
-                if chain is None:
-                    chain = [scaled(e) for e in self.chain[1:]]
-                a, b, m, s, sg = split(a, b, s)
-                v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain])
+            if chain is None:
+                chain = [scaled(e) for e in self.chain[1:]]
+            a, b, m, s, sg = split(a, b, s)
+            v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain])
             if v_m > v_b:
                 stack.append((m, b, s, v_m, v_b, sg))
             if v_a > v_m:

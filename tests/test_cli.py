@@ -112,6 +112,17 @@ def test_batch_size_errors(capsys):
             "max degree must be at most 1000",
         ),
         (("semigroup", "--max-degree", "1001", "--seed", "1"), "max degree must be at most 1000"),
+        (
+            ("verify-lemma2", "--k", "1001", "--p", '{"coeffs":["-3","1"]}', "--h", "1/100"),
+            "k must be at most 1000",
+        ),
+        (
+            ("verify-lemma1", "--k", "1001", "--xi", "1", "--p", '{"coeffs":["1"]}',
+             "--eta", "1/10"),
+            "k must be at most 1000",
+        ),
+        (("search-counterexamples", "--k", "1001", "--grid", "1"), "k must be at most 1000"),
+        (("orthogonality", "--max-index", "1001"), "max index must be at most 1000"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -250,7 +261,7 @@ def test_search_counterexamples(capsys):
     assert [p["passed"] for p in report["result"]["points"]] == [False, False, True, True]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "transform", "--alpha", "-1", "--poly", '{"coeffs":["1","1"]}')
     assert code == 2 and "alpha must be nonnegative" in err
 
@@ -284,6 +295,14 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "certify", "--poly", '{"roots":[["1",1000000000]]}')
     assert code == 2 and "degree bound of 1000" in err
+
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "certify", "--poly", '{"coeffs":["-2","0","1"]}', "--output", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert not target.parent.exists()
 
 
 def test_reports_are_byte_identical(capsys):
