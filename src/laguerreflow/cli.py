@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -331,6 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--opt -3/5`` into ``--opt=-3/5``, so a negative value reaches its option.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like -N or -N.N, which leaves out rationals such as -3/5 and grids such as
+    -4,-2. No option here starts with a digit or ".", so such a token is always
+    a value. After a flag the joined token is refused, as the separate one was.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        # "--" alone ends the options; "--opt=v" already has its value.
+        bare_option = prev.startswith("--") and prev != "--" and "=" not in prev
+        if bare_option and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
@@ -381,7 +405,8 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     # Exact results can outgrow the interpreter's int-to-str digit limit, so it
     # is lifted while the command runs; to_rational bounds the literals instead.
     limit = sys.get_int_max_str_digits()

@@ -48,7 +48,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ratpoly import Poly, RationalLike, approx_str, to_rational
 
@@ -280,13 +280,14 @@ def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     return ctx.count(lo_q, hi_q) - ctx.vanishes_at(hi_q)
 
 
-def cauchy_root_bound(f: Poly) -> Fraction:
-    """Strict bound M = 1 + max|a_i/a_n|: every root satisfies |root| < M."""
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("root bound needs a nonconstant polynomial")
-    lead = abs(f.leading())
-    others = [abs(c) / lead for c in f.coeffs[:-1]]
-    return 1 + (max(others) if others else Fraction(0))
+def _cauchy_bound(ints: Sequence[int]) -> Fraction:
+    """Strict Cauchy bound M = 1 + max |a_i/a_d| of a nonconstant integer polynomial.
+
+    Every root satisfies |root| < M. M is the same for every nonzero multiple
+    of the polynomial, so the integers of any such multiple give it.
+    """
+    lead = abs(ints[-1])
+    return Fraction(lead + max(abs(c) for c in ints[:-1]), lead)
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ class _RootContext:
         """
         if self.distinct == 0:
             return ()
-        bound = cauchy_root_bound(Poly(self.g))
+        bound = _cauchy_bound(self.g)
         p, q = bound.numerator, bound.denominator
 
         def scaled(e: Ints) -> Ints:
@@ -530,7 +531,7 @@ def largest_root_enclosure(
 
     if ctx.vanishes_at(Fraction(0)) and total == 1:
         return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), cauchy_root_bound(f)
+    lo, hi = Fraction(0), _cauchy_bound(f.numerators()[0])
     while hi - lo > w:
         mid = (lo + hi) / 2
         if inside(mid) == total:

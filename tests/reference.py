@@ -1,9 +1,10 @@
 """Plain Fraction versions of operations the package does not run itself.
 
 The package works on integer numerators: one remainder sequence over Z gives
-the square-free part, and the families and moment tables have closed integer
-forms. The tests check those kernels against the textbook rational
-operations below, which therefore live with the tests.
+the square-free part, the Cauchy root bound comes from a polynomial's
+integers, and the families and moment tables have closed integer forms. The
+tests check those kernels against the textbook rational operations below,
+which therefore live with the tests.
 """
 
 from __future__ import annotations
@@ -63,6 +64,15 @@ def square_free(f: Poly) -> Poly:
     q, r = poly_divmod(f, gcd(f, derivative(f)))
     assert r.is_zero
     return monic(q)
+
+
+def cauchy_root_bound(f: Poly) -> Fraction:
+    """Strict bound M = 1 + max|a_i/a_n|: every root satisfies |root| < M."""
+    if f.is_zero or f.degree() == 0:
+        raise ValueError("root bound needs a nonconstant polynomial")
+    lead = abs(f.leading())
+    others = [abs(c) / lead for c in f.coeffs[:-1]]
+    return 1 + (max(others) if others else Fraction(0))
 
 
 def generalized_binomial(top: Fraction, k: int) -> Fraction:

@@ -305,6 +305,34 @@ def test_usage_errors(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_negative_value_as_separate_argument(capsys):
+    poly = '{"coeffs":["1","-2","3"]}'
+    argv = ("semigroup", "--poly", poly, "--alpha", "1/2")
+    joined = run(capsys, *argv, "--h1=-3/5", "--h2", "7/4")
+    separate = run(capsys, *argv, "--h1", "-3/5", "--h2", "7/4")
+    assert separate == joined and separate[0] == 0
+
+    code, out, _ = run(
+        capsys, "search-counterexamples", "--alpha", "0", "--k", "2", "--grid", "-4,-2,-1,0,1"
+    )
+    pinned = PINNED_REPORTS["search_counterexamples_readme"]
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == pinned["sha256"]
+
+    code, _, err = run(capsys, "transform", "--alpha", "-1/2", "--poly", '{"coeffs":["1","1"]}')
+    assert code == 2 and "alpha must be nonnegative" in err
+
+    code, _, err = run(
+        capsys,
+        "verify-lemma1", "--k", "2", "--xi", "-1/2", "--p", '{"coeffs":["1"]}', "--eta", "1/10",
+    )
+    assert code == 2 and "Hermite radius undefined" in err
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["semigroup", "--poly", poly, "--h1", "--h2", "1"])
+    assert exit_info.value.code == 2
+    assert "--h1: expected one argument" in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical(capsys):
     args = ("verify-theorem", "--trials", "15", "--seed", "77")
     _, first, _ = run(capsys, *args)

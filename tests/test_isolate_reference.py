@@ -27,8 +27,8 @@ from laguerreflow.realroot import (
     _RootContext,
     _sign_at_dyadic,
     _variations,
-    cauchy_root_bound,
 )
+from reference import cauchy_root_bound
 
 WIDTHS = (DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3), Fraction(4))
 

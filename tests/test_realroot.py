@@ -14,11 +14,11 @@ from laguerreflow import (
     DEFAULT_WIDTH,
     Poly,
     XiParam,
-    cauchy_root_bound,
     certify,
     count_real_roots,
     count_real_roots_open,
     isolate_roots,
+    laguerre,
     laguerre_transform,
     largest_root_enclosure,
     monic_laguerre,
@@ -27,8 +27,8 @@ from laguerreflow import (
     random_real_rooted,
     scaled_hermite,
 )
-from laguerreflow.realroot import _RootContext
-from reference import monic, square_free
+from laguerreflow.realroot import _RootContext, _cauchy_bound, _primitive
+from reference import cauchy_root_bound, monic, square_free
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 small_polys = st.lists(
@@ -87,6 +87,31 @@ def test_cauchy_bound_exceeds_all_roots(roots):
     f = Poly.from_roots([(r, 1) for r in roots])
     bound = cauchy_root_bound(f)
     assert all(abs(r) < bound for r in roots)
+
+
+coefficients = st.fractions(max_denominator=10**6) | st.integers(-(10**400), 10**400).map(Fraction)
+
+
+@settings(max_examples=200)
+@given(st.lists(coefficients, min_size=2, max_size=8).filter(lambda cs: cs[-1] != 0))
+def test_integer_cauchy_bound_matches_reference(coeffs):
+    f = Poly(coeffs)
+    assert _cauchy_bound(_primitive(f.numerators()[0])) == cauchy_root_bound(f)
+    assert _cauchy_bound(f.numerators()[0]) == cauchy_root_bound(f)
+
+
+def test_integer_cauchy_bound_cases():
+    cases = [
+        Poly([3, -7, -2]),  # negative lead
+        Poly([0, 5, 0, Fraction(-1, 3)]),  # zero constant term, negative lead
+        Poly([Fraction(-5, 2), Fraction(3, 4)]),  # degree 1
+        Poly([10**400, 0, 1]),  # beyond float range
+        Poly([1, Fraction(-(10**400), 7), 0, 3]),
+    ]
+    for f in cases:
+        assert _cauchy_bound(_primitive(f.numerators()[0])) == cauchy_root_bound(f)
+    assert _cauchy_bound((10**400, 0, 1)) == 10**400 + 1
+    assert _cauchy_bound((0, 0, -2)) == 1
 
 
 def test_isolate_sqrt2():
@@ -192,6 +217,34 @@ def test_largest_root_enclosure():
 
     with pytest.raises(ValueError):
         largest_root_enclosure(Poly([2, 0, 1]))
+
+
+# Exact enclosures at the default width, for the inputs above and for the
+# lemma-window radius polynomials; they depend on the starting Cauchy bound.
+PINNED_ENCLOSURES = [
+    (Poly([-4, 0, 1]), "16777215/8388608", "4194305/2097152"),
+    (Poly([1, -1]), "1048575/1048576", "1"),
+    (Poly([4, 4, 1]), "16777215/8388608", "4194305/2097152"),
+    (Poly([0, 1]), "0", "0"),
+    (Poly([0, -1, 0, 1]), "1048575/1048576", "1"),
+    (laguerre(2, AlphaParam(Fraction(1, 2))), "17117535/4194304", "8558769/2097152"),
+    (laguerre(3, AlphaParam(Fraction(1, 2))), "943939673/134217728", "471969891/67108864"),
+    (laguerre(4, AlphaParam(Fraction(1, 2))), "5466654539/536870912", "683331857/67108864"),
+    (
+        laguerre(5, AlphaParam(Fraction(1, 2))),
+        "462402291001/34359738368",
+        "231201154171/17179869184",
+    ),
+    (scaled_hermite(2, XiParam(2)), "16777215/8388608", "4194305/2097152"),
+    (scaled_hermite(3, XiParam(2)), "58117969/16777216", "29058991/8388608"),
+    (scaled_hermite(4, XiParam(2)), "313319769/67108864", "156659909/33554432"),
+    (scaled_hermite(5, XiParam(2)), "1533824015/268435456", "5991501/1048576"),
+]
+
+
+@pytest.mark.parametrize("f, lo, hi", PINNED_ENCLOSURES)
+def test_largest_root_enclosure_pinned(f, lo, hi):
+    assert largest_root_enclosure(f) == (Fraction(lo), Fraction(hi))
 
 
 def test_certified_family_root_counts():
