@@ -8,7 +8,8 @@ writes every input in canonical form (a polynomial as its coefficient
 literal, a rational as "p/q", a grid as comma-joined rationals), so spellings
 of the same value give byte-identical reports. Exit status is 0 when the
 requested check passes (or the command is purely computational), 1 when a
-verified property fails, and 2 on usage or domain errors.
+verified property fails, and 2 on usage or domain errors, a report that
+cannot be written (to --output or to a closed stdout) among them.
 """
 
 from __future__ import annotations
@@ -357,7 +358,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        print(text)
+        # Flushed here, so a reader that closed the pipe fails this call and not the exit.
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            raise ValueError(f"cannot write report to stdout: {exc.strerror}") from exc
         return
     path = output
     outdir = os.environ.get(OUTDIR_ENV)
@@ -432,5 +438,22 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if passed else 1
 
 
+def console_main() -> int:
+    """Process entry point: ``main``, then stdout pointed at os.devnull if its reader is gone.
+
+    A report that could not be written stays in stdout's buffer, and the
+    interpreter would fail again flushing it at exit. Only the process's own
+    stdout is redirected; ``main`` leaves an in-process caller's alone.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

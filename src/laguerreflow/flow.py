@@ -5,8 +5,10 @@ rational, the square-root scaling of the first localization lemma is handled
 by parametrizing h = eta^2, and window radii are certified rational upper
 enclosures of the relevant extreme roots, so every window-membership count
 is an exact Sturm count rather than a floating-point judgment. Both lemmas
-flow (x^k * p)(x - centre), built by padding p's coefficients and one Taylor
-shift, with centre 0 for the Laguerre window and xi for the Hermite window.
+flow (x^k * p)(x - centre), built by padding p's coefficients and one integer
+Taylor shift, with centre 0 for the Laguerre window and xi for the Hermite
+window; the window centre -/+ 2*radius*scale takes one open-interval count,
+where g's sign at the right end serves both the count and the open end.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def _require_k(k: int) -> None:
 
 def _require_k_and_cofactor(k: int, p: Poly) -> None:
     _require_k(k)
-    if p.is_zero or p(0) == 0:
+    if p.is_zero or p.coeffs[0] == 0:
         raise ValueError("p(0) must be nonzero (x must not divide p)")
 
 
@@ -128,7 +130,8 @@ def _window_count(
     """Flow (x^k * p)(x - centre) for ``time``; k or more roots in centre -/+ 2*radius*scale pass."""
     f = Poly((0,) * k + p.coeffs).shift(-centre)
     flowed = heat_semigroup(f, alpha, time)
-    lo, hi = centre - 2 * radius * scale, centre + 2 * radius * scale
+    half = 2 * radius * scale
+    lo, hi = centre - half, centre + half
     count = count_real_roots_open(flowed, lo, hi)
     return LocalizationReport(k, lo, hi, count, count >= k, radius, degenerate)
 

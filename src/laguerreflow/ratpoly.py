@@ -7,7 +7,9 @@ identity tests are fully reliable.
 
 ``Poly.numerators`` (integer numerators over the least common denominator) is
 the one integer view that the kernels in ``basis`` and ``realroot`` start from.
-``from_roots`` and ``shift`` work on coefficient lists, not on Poly products.
+``from_roots`` and ``shift`` work on integer coefficient lists, not on Poly
+products: ``shift`` by u/v is an integer Taylor shift by u of the numerators
+scaled by powers of v, and builds one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -200,16 +202,24 @@ class Poly:
     # -- substitution -------------------------------------------------
 
     def shift(self, c: RationalLike) -> "Poly":
-        """Compose with x -> x + c, i.e. return f(x + c)."""
+        """Compose with x -> x + c, i.e. return f(x + c).
+
+        With f = sum N_i x^i / d and c = u/v, the integers G_i = N_i v^(n-i)
+        give G(v*x) = d * v^n * f(x), so shifting G by the integer u yields
+        h_j with f(x + c) = sum h_j x^j / (d * v^(n-j)).
+        """
         offset = to_rational(c)
         if offset == 0 or not self.coeffs:
             return self
-        # Taylor shift: pass i leaves the coefficient of x^i final.
-        cs = list(self.coeffs)
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
-                cs[j] += offset * cs[j + 1]
-        return Poly(cs)
+        u, v = offset.as_integer_ratio()
+        nums, d = self.numerators()
+        n = len(nums) - 1
+        cs = [num * v ** (n - i) for i, num in enumerate(nums)]
+        # Taylor shift by u: pass i leaves the coefficient of y^i final.
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += u * cs[j + 1]
+        return Poly([Fraction(h, d * v ** (n - j)) for j, h in enumerate(cs)])
 
     # -- display --------------------------------------------------------
 

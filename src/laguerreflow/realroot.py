@@ -40,6 +40,15 @@ Endpoints are integer numerators over q*2^j, and g (the rest of the chain
 when a split first needs it) is rewritten in y = q*x, so every evaluation is
 at a dyadic point and scales by shifts. Fractions are built only for the
 output.
+
+The largest-root enclosure is the cell that bisection of (0, M] on symmetric
+root counts (distinct roots in [-r, r]) ends in: on the grid of the first
+depth whose cells fit the width, the one cell (lo, hi] with a root outside
+[-lo, lo] and all of them in [-hi, hi]. The chain is rewritten in y = q*x
+once. The float pass on g proposes max |root|; counts at its grid point and
+at the neighbour on the root's side close the bracket to that cell, and
+bisection on integer numerators finishes whatever bracket a wrong proposal
+leaves, so the cell is the same either way.
 """
 
 from __future__ import annotations
@@ -276,8 +285,7 @@ def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     if f.is_zero:
         raise ValueError("root counting on the zero polynomial is undefined")
     lo_q, hi_q = _validated_bounds(lo, hi)
-    ctx = _RootContext(f)
-    return ctx.count(lo_q, hi_q) - ctx.vanishes_at(hi_q)
+    return _RootContext(f).count_open(lo_q, hi_q)
 
 
 def _cauchy_bound(ints: Sequence[int]) -> Fraction:
@@ -330,8 +338,10 @@ class _RootContext:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
         return _count(self.chain, lo, hi)
 
-    def vanishes_at(self, x: Fraction) -> bool:
-        return _sign_at(self.g, x.numerator, x.denominator) == 0
+    def count_open(self, lo: Fraction, hi: Fraction) -> int:
+        """Distinct real roots in (lo, hi); g's sign at hi serves the count and the open end."""
+        signs = [_sign_at(ints, hi.numerator, hi.denominator) for ints in self.chain]
+        return _variations_at(self.chain, lo, False) - _variations(signs) - (signs[0] == 0)
 
     def isolate(self, width: Fraction) -> tuple[IsolatingInterval, ...]:
         """Disjoint sorted intervals (lo, hi], one per distinct real root, at most ``width`` wide.
@@ -512,10 +522,13 @@ def certify(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> RootCertificate:
 def largest_root_enclosure(
     f: Poly, width: RationalLike = DEFAULT_WIDTH
 ) -> tuple[Fraction, Fraction]:
-    """Rational enclosure [lo, hi], hi - lo <= width, of max |root| over real roots.
+    """Rational enclosure lo < max |root| <= hi, hi - lo <= width, over the real roots.
 
-    Starts from the Cauchy bound of f and bisects on symmetric root counts.
-    Raises if f has no real roots (the radius is undefined there).
+    It is the cell that bisection of (0, M] on symmetric root counts ends in,
+    M the strict Cauchy bound of f: at the first depth D whose cells fit the
+    width, the one cell with some root outside [-lo, lo] and every root in
+    [-hi, hi]. A lone root at 0 gives (0, 0). Raises if f has no real roots
+    (the radius is undefined there).
     """
     if f.is_zero or f.degree() == 0:
         raise ValueError("largest-root enclosure needs a nonconstant polynomial")
@@ -524,18 +537,45 @@ def largest_root_enclosure(
     total = ctx.distinct
     if total == 0:
         raise ValueError("polynomial has no real roots: largest-root radius is undefined")
-
-    def inside(r: Fraction) -> int:
-        # distinct roots in [-r, r]
-        return ctx.count(-r, r) + ctx.vanishes_at(-r)
-
-    if ctx.vanishes_at(Fraction(0)) and total == 1:
+    if ctx.g[0] == 0 and total == 1:
         return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), _cauchy_bound(f.numerators()[0])
-    while hi - lo > w:
-        mid = (lo + hi) / 2
-        if inside(mid) == total:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    bound = _cauchy_bound(f.numerators()[0])
+    p, q = bound.numerator, bound.denominator
+    # Grid point i of depth D is i*p/(q*2^D); D is the least depth with
+    # p * w_den <= (w_num * q) << D, where the bisection's cells fit the width.
+    need, room = p * w.denominator, w.numerator * q
+    depth = max(need.bit_length() - room.bit_length(), 0)
+    depth += room << depth < need
+    # In y = q*x each element is multiplied by q^deg > 0 and the grid point
+    # becomes i*p/2^D, so every count is taken at dyadic points.
+    chain = [tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in ctx.chain]
+
+    def all_inside(i: int) -> bool:
+        """Whether [-r, r], r grid point i, holds every distinct root: (-r, r] and g(-r)."""
+        minus = [_sign_at_dyadic(e, -i * p, depth) for e in chain]
+        plus = [_sign_at_dyadic(e, i * p, depth) for e in chain]
+        return _variations(minus) - _variations(plus) + (minus[0] == 0) == total
+
+    # Not every root is inside at grid point lo, every root is inside at hi.
+    lo, hi = 0, 1 << depth
+    # k is the grid point at or below a float near max |root|, so the root lies
+    # in cell k (from k to k + 1) or, past an edge, in cell k - 1: a count at
+    # k and one at the neighbour on the root's side close the bracket.
+    k = -1
+    try:
+        roots = _float_roots(
+            [float(c) for c in reversed(ctx.g)], -float(bound), math.ldexp(float(bound), -depth)
+        )
+    except OverflowError:
+        roots = []
+    magnitudes = [abs(r) for r in roots if math.isfinite(r)]
+    if magnitudes:
+        num, den = max(magnitudes).as_integer_ratio()
+        k = (num * q << depth) // (p * den)
+    for i in (k, k - 1, k + 1):
+        if lo < i < hi:
+            lo, hi = (lo, i) if all_inside(i) else (i, hi)
+    while hi - lo > 1:
+        i = (lo + hi) // 2
+        lo, hi = (lo, i) if all_inside(i) else (i, hi)
+    return Fraction(lo * p, q << depth), Fraction(hi * p, q << depth)

@@ -2,9 +2,10 @@
 
 The package works on integer numerators: one remainder sequence over Z gives
 the square-free part, the Cauchy root bound comes from a polynomial's
-integers, and the families and moment tables have closed integer forms. The
-tests check those kernels against the textbook rational operations below,
-which therefore live with the tests.
+integers, the Taylor shift runs on integers, the largest-root enclosure is
+confirmed at dyadic points, and the families and moment tables have closed
+integer forms. The tests check those kernels against the textbook rational
+operations below, which therefore live with the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 from laguerreflow import MomentBase, MomentValue, Poly, XiParam
+from laguerreflow.realroot import _RootContext
 
 
 def derivative(f: Poly) -> Poly:
@@ -73,6 +75,43 @@ def cauchy_root_bound(f: Poly) -> Fraction:
     lead = abs(f.leading())
     others = [abs(c) / lead for c in f.coeffs[:-1]]
     return 1 + (max(others) if others else Fraction(0))
+
+
+def fraction_shift(f: Poly, c: Fraction) -> Poly:
+    """f(x + c) by a Taylor shift on the Fraction coefficients."""
+    offset = Fraction(c)
+    if offset == 0 or not f.coeffs:
+        return f
+    # Taylor shift: pass i leaves the coefficient of x^i final.
+    cs = list(f.coeffs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += offset * cs[j + 1]
+    return Poly(cs)
+
+
+def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:
+    """Enclosure [lo, hi] of max |root| by Fraction bisection of (0, M] on symmetric counts.
+
+    f has a real root; ``g(-r) == 0`` is read as ``f(-r) == 0``, which has the same roots.
+    """
+    ctx = _RootContext(f)
+    total = ctx.distinct
+
+    def inside(r: Fraction) -> int:
+        # distinct roots in [-r, r]
+        return ctx.count(-r, r) + (f(-r) == 0)
+
+    if f(0) == 0 and total == 1:
+        return Fraction(0), Fraction(0)
+    lo, hi = Fraction(0), cauchy_root_bound(f)
+    while hi - lo > w:
+        mid = (lo + hi) / 2
+        if inside(mid) == total:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def generalized_binomial(top: Fraction, k: int) -> Fraction:

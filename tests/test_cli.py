@@ -2,9 +2,12 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -354,6 +357,58 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert (tmp_path / "nested.json").exists()
+
+
+class ClosedPipe:
+    """A stdout whose reader is gone: writing, or only flushing, raises BrokenPipeError."""
+
+    def __init__(self, buffered: bool):
+        self.buffered = buffered
+
+    def write(self, text: str) -> int:
+        if not self.buffered:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_is_a_usage_error(capsys, monkeypatch, buffered):
+    closed = ClosedPipe(buffered)
+    monkeypatch.setattr(sys, "stdout", closed)
+    code = main(["certify", "--poly", '{"coeffs":["-2","0","1"]}'])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write report to stdout: Broken pipe\n"
+    assert sys.stdout is closed  # an in-process caller's stdout is left alone
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orthogonality", "--max-index", "16"],
+        ["certify", "--poly", '{"coeffs":["-2","0","1"]}'],
+    ],
+)
+def test_closed_pipe_exits_2_without_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "laguerreflow.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    # One error line: no traceback, and nothing "ignored" at interpreter exit.
+    assert done.stderr == "error: cannot write report to stdout: Broken pipe\n"
+    assert done.returncode == 2
 
 
 PINNED_REPORTS = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())[

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import laguerreflow
 from laguerreflow import Poly, parse_poly_literal, poly_literal, to_rational
 from laguerreflow.ratpoly import LITERAL_DEGREE
-from reference import derivative, gcd, monic, poly_divmod, square_free
+from reference import derivative, fraction_shift, gcd, monic, poly_divmod, square_free
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -258,6 +258,24 @@ def test_derivative_product_rule(f, g):
 def test_shift_roundtrip_and_eval(f, c, x):
     assert f.shift(c).shift(-c) == f
     assert f.shift(c)(x) == f(x + c)
+
+
+digits30 = st.integers(min_value=-(10**30), max_value=10**30)
+wide_rationals = st.builds(Fraction, digits30, st.integers(min_value=1, max_value=10**30))
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(polys, st.lists(wide_rationals, max_size=7).map(Poly)),
+    st.one_of(rationals, wide_rationals),
+)
+@example(Poly.zero(), Fraction(10**30 - 1, 3**60))
+@example(Poly([Fraction(-7, 3)]), Fraction(-(10**30), 10**30 - 1))
+@example(Poly([Fraction(5, 2), Fraction(-3)]), Fraction(0))
+def test_integer_shift_matches_fraction_taylor_shift(f, c):
+    # Zero polynomials, constants and offsets of both signs with 30-digit parts.
+    assert f.shift(c) == fraction_shift(f, c)
+    assert f.shift(-c) == fraction_shift(f, -c)
 
 
 @given(polys, nonzero_polys)
