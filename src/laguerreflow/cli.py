@@ -55,10 +55,6 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [to_rational(piece) for piece in parts]
 
 
-def _alpha(args: argparse.Namespace) -> AlphaParam:
-    return AlphaParam(args.alpha)
-
-
 def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
     """Seeded generator for a randomized batch, once its size arguments are checked."""
     if args.seed is None:
@@ -73,7 +69,7 @@ def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
 
 
 def _cmd_transform(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    f, alpha = parse_poly_literal(args.poly), _alpha(args)
+    f, alpha = parse_poly_literal(args.poly), AlphaParam(args.alpha)
     image = laguerre_transform(f, alpha, verify=args.verify)
     result = {"transformed": poly_literal(image), "display": str(image)}
     return {"poly": f, "alpha": alpha.value}, result, True
@@ -96,7 +92,7 @@ def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    alpha = _alpha(args)
+    alpha = AlphaParam(args.alpha)
     xi = XiParam(args.xi)
     top = args.max_index
     if top < 0:
@@ -174,14 +170,14 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     p, xi = parse_poly_literal(args.p), XiParam(args.xi)
-    alpha, eta = _alpha(args), to_rational(args.eta)
+    alpha, eta = AlphaParam(args.alpha), to_rational(args.eta)
     localization = lemma1_localize(args.k, xi, p, alpha, eta)
     inputs = {"k": args.k, "xi": xi.value, "p": p, "alpha": alpha.value, "eta": eta}
     return inputs, localization.to_json(), localization.passed
 
 
 def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    p, alpha, h = parse_poly_literal(args.p), _alpha(args), to_rational(args.h)
+    p, alpha, h = parse_poly_literal(args.p), AlphaParam(args.alpha), to_rational(args.h)
     localization = lemma2_localize(args.k, p, alpha, h)
     inputs = {"k": args.k, "p": p, "alpha": alpha.value, "h": h}
     return inputs, localization.to_json(), localization.passed
@@ -191,7 +187,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.poly is not None:
         if args.h1 is None or args.h2 is None:
             raise ValueError("--h1 and --h2 are required with --poly")
-        f, alpha = parse_poly_literal(args.poly), _alpha(args)
+        f, alpha = parse_poly_literal(args.poly), AlphaParam(args.alpha)
         h1, h2 = to_rational(args.h1), to_rational(args.h2)
         equal = semigroup_check(f, alpha, h1, h2)
         return {"poly": f, "alpha": alpha.value, "h1": h1, "h2": h2}, {"equal": equal}, equal
@@ -216,7 +212,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 
 def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, dict | str, bool]:
-    f, alpha = parse_poly_literal(args.poly), _alpha(args)
+    f, alpha = parse_poly_literal(args.poly), AlphaParam(args.alpha)
     grid, width = _parse_grid(args.grid), to_rational(args.width)
     trace = flow_trace(f, alpha, grid, width)
     inputs = {"poly": f, "alpha": alpha.value, "grid": grid, "width": width}
@@ -228,7 +224,7 @@ def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, dict | str, bool]:
 
 
 def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    alpha, grid = _alpha(args), _parse_grid(args.grid)
+    alpha, grid = AlphaParam(args.alpha), _parse_grid(args.grid)
     points = counterexample_search(alpha, grid, args.k)
     inputs = {"alpha": alpha.value, "k": args.k, "grid": grid}
     return inputs, {"points": [p.to_json() for p in points]}, True

@@ -36,19 +36,19 @@ two by integer shifts) needs no evaluation at all: no root lies at or beyond
 it, so one half is empty, the other keeps the counts, and g has there the sign
 it has at the matching infinity.
 
-Endpoints are integer numerators over q*2^j, and g (the rest of the chain
-when a split first needs it) is rewritten in y = q*x, so every evaluation is
-at a dyadic point and scales by shifts. Fractions are built only for the
-output.
-
 The largest-root enclosure is the cell that bisection of (0, M] on symmetric
-root counts (distinct roots in [-r, r]) ends in: on the grid of the first
-depth whose cells fit the width, the one cell (lo, hi] with a root outside
-[-lo, lo] and all of them in [-hi, hi]. The chain is rewritten in y = q*x
-once. The float pass on g proposes max |root|; counts at its grid point and
-at the neighbour on the root's side close the bracket to that cell, and
-bisection on integer numerators finishes whatever bracket a wrong proposal
-leaves, so the cell is the same either way.
+root counts (distinct roots in [-r, r]) ends in, M the strict Cauchy bound of
+f: the one final cell (lo, hi] with a root outside [-lo, lo] and all of them
+in [-hi, hi]. Counts at the grid point below the float proposal of max |root|
+and at its neighbour on the root's side close the bracket to that cell;
+bisection finishes whatever bracket a wrong proposal leaves.
+
+Both queries run on one dyadic grid over their span, (-M, M] or (0, M] with
+M = p/q: points are integer numerators over q*2^j, down to the least depth
+whose cells fit the width. The chain is rewritten in y = q*x (for isolation g
+at once, the rest on the first split), so every evaluation is at a dyadic
+point and scales by shifts; the float pass stops at one final cell. Fractions
+are built only for the output.
 """
 
 from __future__ import annotations
@@ -172,22 +172,27 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
-def _variations_at(chain: tuple[Ints, ...], x: Optional[Fraction], positive: bool) -> int:
-    """Sign variations of the chain at x; None is the infinity on the ``positive`` side."""
-    if x is not None:
-        num, den = x.numerator, x.denominator
-        return _variations([_sign_at(ints, num, den) for ints in chain])
-    signs = []
-    for ints in chain:
-        lead = _sign(ints[-1])
-        if not positive and (len(ints) - 1) % 2:
-            lead = -lead
-        signs.append(lead)
-    return _variations(signs)
+def _proposals(g: Ints, start: int, q: int, cell: int, depth: int) -> list[float]:
+    """Finite _float_roots of g from start/q, tolerance cell/(q*2^depth); none on overflow."""
+    try:
+        desc = [float(c) for c in reversed(g)]
+        roots = _float_roots(desc, start / q, cell / (q << depth))
+    except OverflowError:
+        return []
+    return [r for r in roots if math.isfinite(r)]
 
 
-def _count(chain: tuple[Ints, ...], lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    return _variations_at(chain, lo, False) - _variations_at(chain, hi, True)
+def _grid(bound: Fraction, span: int, width: Fraction) -> tuple[int, int, int]:
+    """(p, q, depth): bound = p/q, depth the least with cells span*p/(q*2^depth) at most width."""
+    p, q = bound.numerator, bound.denominator
+    need, room = span * p * width.denominator, width.numerator * q
+    depth = max(need.bit_length() - room.bit_length(), 0)
+    return p, q, depth + (room << depth < need)
+
+
+def _scaled(e: Ints, q: int) -> Ints:
+    """e in y = q*x times q^deg > 0: its sign at a/2^s is e's sign at a/(q*2^s)."""
+    return tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e))
 
 
 def _primitive(coeffs: list[int]) -> Ints:
@@ -319,29 +324,35 @@ class IsolatingInterval:
 class _RootContext:
     """The square-free part g of a nonzero f and g's Sturm chain, from one integer run.
 
-    ``chain[0]`` is g as coprime integers with a positive leading coefficient,
-    so it is a positive multiple of the monic square-free part of f.
+    ``f`` and ``chain[0]`` = g are coprime integers with a positive leading
+    coefficient, so g is a positive multiple of the monic square-free part of f.
     """
 
     def __init__(self, f: Poly):
-        p = _positive_lead(_primitive(f.numerators()[0]))
-        seq = _sturm_sequence(p)
+        self.f = _positive_lead(_primitive(f.numerators()[0]))
+        seq = _sturm_sequence(self.f)
         if len(seq[-1]) > 1:
             # A repeated root: g = f / gcd(f, f') needs a chain of its own.
-            seq = _sturm_sequence(_positive_lead(_exact_quotient(p, seq[-1])))
+            seq = _sturm_sequence(_positive_lead(_exact_quotient(self.f, seq[-1])))
         self.chain = tuple(seq)
         self.g = self.chain[0]
-        self.v_minus = _variations_at(self.chain, None, False)
-        self.distinct = self.v_minus - _variations_at(self.chain, None, True)
+        # Variations at +infinity and at -infinity, where odd degrees flip the lead's sign.
+        self.v_plus = _variations([_sign(e[-1]) for e in self.chain])
+        self.v_minus = _variations([_sign(e[-1]) * (-1) ** (len(e) - 1) for e in self.chain])
+        self.distinct = self.v_minus - self.v_plus
+
+    def _signs(self, x: Fraction) -> list[int]:
+        return [_sign_at(e, x.numerator, x.denominator) for e in self.chain]
 
     def count(self, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
         """Distinct real roots in (lo, hi]; None means the matching infinity."""
-        return _count(self.chain, lo, hi)
+        v_lo = self.v_minus if lo is None else _variations(self._signs(lo))
+        return v_lo - (self.v_plus if hi is None else _variations(self._signs(hi)))
 
     def count_open(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct real roots in (lo, hi); g's sign at hi serves the count and the open end."""
-        signs = [_sign_at(ints, hi.numerator, hi.denominator) for ints in self.chain]
-        return _variations_at(self.chain, lo, False) - _variations(signs) - (signs[0] == 0)
+        signs = self._signs(hi)
+        return _variations(self._signs(lo)) - _variations(signs) - (signs[0] == 0)
 
     def isolate(self, width: Fraction) -> tuple[IsolatingInterval, ...]:
         """Disjoint sorted intervals (lo, hi], one per distinct real root, at most ``width`` wide.
@@ -352,22 +363,12 @@ class _RootContext:
         """
         if self.distinct == 0:
             return ()
-        bound = _cauchy_bound(self.g)
-        p, q = bound.numerator, bound.denominator
-
-        def scaled(e: Ints) -> Ints:
-            # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
-            # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
-            return tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e))
-
-        g, chain = scaled(self.g), None  # the rest of the chain is scaled on first use
-        # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
-        w_num_q, w_den = width.numerator * q, width.denominator
         # A node no nudge has moved is (a, a + 2p] on the grid of its scale, so
         # the width test passes first at one depth d_end for all of them.
-        need = 2 * p * w_den
-        d_end = max(need.bit_length() - w_num_q.bit_length(), 0)
-        d_end += w_num_q << d_end < need
+        p, q, d_end = _grid(_cauchy_bound(self.g), 2, width)
+        g, chain = _scaled(self.g, q), None  # the rest of the chain is scaled on first use
+        # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
+        w_num_q, w_den = width.numerator * q, width.denominator
 
         def split(a: int, b: int, s: int) -> tuple[int, int, int, int, int]:
             """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
@@ -393,15 +394,9 @@ class _RootContext:
         # Cell k of depth d_end is (-p*2^d_end + 2p*k, ... + 2p] at scale d_end. A
         # cell with g nonzero and of opposite signs at its edges holds a root.
         cells = set()
-        try:
-            desc = [float(c) for c in reversed(self.g)]
-            proposals = _float_roots(desc, -neg / q, 2 * p / (q << d_end))
-        except OverflowError:
-            proposals = []
-        for r in proposals:
-            if math.isfinite(r):
-                num, den = r.as_integer_ratio()
-                cells.add(((num * q + p * den) << d_end) // (2 * p * den))
+        for r in _proposals(self.g, -neg, q, 2 * p, d_end):
+            num, den = r.as_integer_ratio()
+            cells.add(((num * q + p * den) << d_end) // (2 * p * den))
         confirmed = []
         for k in sorted(cells):
             lo = (-p << d_end) + 2 * p * k
@@ -454,7 +449,7 @@ class _RootContext:
                 stack.append((m, 2 * b, s + 1, v_a, v_b, sg_minus))
                 continue
             if chain is None:
-                chain = [scaled(e) for e in self.chain[1:]]
+                chain = [_scaled(e, q) for e in self.chain[1:]]
             a, b, m, s, sg = split(a, b, s)
             v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain])
             if v_m > v_b:
@@ -462,6 +457,40 @@ class _RootContext:
             if v_a > v_m:
                 stack.append((a, m, s, v_a, v_m, sg_a))
         return tuple(found)
+
+    def enclose(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """The cell (lo, hi] of (0, M] that holds max |root|; see ``largest_root_enclosure``."""
+        if self.distinct == 0:
+            raise ValueError("polynomial has no real roots: largest-root radius is undefined")
+        if self.g[0] == 0 and self.distinct == 1:
+            return Fraction(0), Fraction(0)
+        # Grid point i of depth D is i*p/(q*2^D), i.e. i*p/2^D in y = q*x.
+        p, q, depth = _grid(_cauchy_bound(self.f), 1, width)
+        chain = [_scaled(e, q) for e in self.chain]
+
+        def all_inside(i: int) -> bool:
+            """Whether [-r, r], r grid point i, holds every distinct root: (-r, r] and g(-r)."""
+            minus = [_sign_at_dyadic(e, -i * p, depth) for e in chain]
+            plus = [_sign_at_dyadic(e, i * p, depth) for e in chain]
+            return _variations(minus) - _variations(plus) + (minus[0] == 0) == self.distinct
+
+        # Not every root is inside at grid point lo, every root is inside at hi.
+        lo, hi = 0, 1 << depth
+        # k is the grid point at or below a float near max |root|, so the root lies
+        # in cell k (from k to k + 1) or, past an edge, in cell k - 1: a count at
+        # k and one at the neighbour on the root's side close the bracket.
+        k = -1
+        magnitudes = [abs(r) for r in _proposals(self.g, -p, q, p, depth)]
+        if magnitudes:
+            num, den = max(magnitudes).as_integer_ratio()
+            k = (num * q << depth) // (p * den)
+        for i in (k, k - 1, k + 1):
+            if lo < i < hi:
+                lo, hi = (lo, i) if all_inside(i) else (i, hi)
+        while hi - lo > 1:
+            i = (lo + hi) // 2
+            lo, hi = (lo, i) if all_inside(i) else (i, hi)
+        return Fraction(lo * p, q << depth), Fraction(hi * p, q << depth)
 
 
 def _validated_width(width: RationalLike, what: str) -> Fraction:
@@ -532,50 +561,4 @@ def largest_root_enclosure(
     """
     if f.is_zero or f.degree() == 0:
         raise ValueError("largest-root enclosure needs a nonconstant polynomial")
-    w = _validated_width(width, "enclosure")
-    ctx = _RootContext(f)
-    total = ctx.distinct
-    if total == 0:
-        raise ValueError("polynomial has no real roots: largest-root radius is undefined")
-    if ctx.g[0] == 0 and total == 1:
-        return Fraction(0), Fraction(0)
-    bound = _cauchy_bound(f.numerators()[0])
-    p, q = bound.numerator, bound.denominator
-    # Grid point i of depth D is i*p/(q*2^D); D is the least depth with
-    # p * w_den <= (w_num * q) << D, where the bisection's cells fit the width.
-    need, room = p * w.denominator, w.numerator * q
-    depth = max(need.bit_length() - room.bit_length(), 0)
-    depth += room << depth < need
-    # In y = q*x each element is multiplied by q^deg > 0 and the grid point
-    # becomes i*p/2^D, so every count is taken at dyadic points.
-    chain = [tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in ctx.chain]
-
-    def all_inside(i: int) -> bool:
-        """Whether [-r, r], r grid point i, holds every distinct root: (-r, r] and g(-r)."""
-        minus = [_sign_at_dyadic(e, -i * p, depth) for e in chain]
-        plus = [_sign_at_dyadic(e, i * p, depth) for e in chain]
-        return _variations(minus) - _variations(plus) + (minus[0] == 0) == total
-
-    # Not every root is inside at grid point lo, every root is inside at hi.
-    lo, hi = 0, 1 << depth
-    # k is the grid point at or below a float near max |root|, so the root lies
-    # in cell k (from k to k + 1) or, past an edge, in cell k - 1: a count at
-    # k and one at the neighbour on the root's side close the bracket.
-    k = -1
-    try:
-        roots = _float_roots(
-            [float(c) for c in reversed(ctx.g)], -float(bound), math.ldexp(float(bound), -depth)
-        )
-    except OverflowError:
-        roots = []
-    magnitudes = [abs(r) for r in roots if math.isfinite(r)]
-    if magnitudes:
-        num, den = max(magnitudes).as_integer_ratio()
-        k = (num * q << depth) // (p * den)
-    for i in (k, k - 1, k + 1):
-        if lo < i < hi:
-            lo, hi = (lo, i) if all_inside(i) else (i, hi)
-    while hi - lo > 1:
-        i = (lo + hi) // 2
-        lo, hi = (lo, i) if all_inside(i) else (i, hi)
-    return Fraction(lo * p, q << depth), Fraction(hi * p, q << depth)
+    return _RootContext(f).enclose(_validated_width(width, "enclosure"))

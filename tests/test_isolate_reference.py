@@ -139,6 +139,8 @@ def test_coefficients_beyond_float_range():
     assert_same_cells(Poly([-(10**400), 3, 0, 1]))
     # The coefficients fit a float, but g overflows at the first Newton point.
     assert_same_cells(Poly([-(10**300), 0, 0, 7, 1]))
+    # The coefficients fit a float, but the float pass's start -neg/q does not.
+    assert_same_cells(Poly([17 * 10**307, 1]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -72,6 +72,26 @@ def test_count_multiple_roots_at_endpoint():
     assert count_real_roots_open(f, 0, 1) == 0
 
 
+@settings(max_examples=100)
+@given(
+    st.dictionaries(root_values, st.integers(min_value=1, max_value=3), max_size=5),
+    st.sampled_from([Fraction(-5, 2), Fraction(-1), Fraction(1), Fraction(7, 3)]),
+    st.booleans(),
+    st.data(),
+)
+def test_counts_match_constructed_roots(roots, lead, non_real_pair, data):
+    f = Poly.from_roots(list(roots.items()), lead=lead)
+    if non_real_pair:
+        f = f * Poly([1, 0, 1])
+    # Endpoints drawn from the roots themselves as often as from anywhere.
+    ends = st.sampled_from(sorted(roots)) | root_values if roots else root_values
+    lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    for a, b in ((lo, hi), (None, hi), (lo, None), (None, None)):
+        expected = sum(1 for r in roots if (a is None or a < r) and (b is None or r <= b))
+        assert count_real_roots(f, a, b) == expected, (a, b)
+    assert count_real_roots_open(f, lo, hi) == sum(1 for r in roots if lo < r < hi)
+
+
 def test_cauchy_root_bound():
     assert cauchy_root_bound(Poly([4, 4, 1])) == 5
     assert cauchy_root_bound(Poly([0, 0, Fraction(1, 2)])) == 1
