@@ -1,15 +1,17 @@
 """Command-line front end for scripted verification runs.
 
 Rationals cross the boundary as strings like "3/4", "-2" or "0.5", never
-floats; decimal output appears only in fields labeled approx. Each command
-parses its arguments once and returns its parsed inputs, its result and its
-verdict; ``main`` alone builds the report {command, inputs, result} and
-writes every input in canonical form (a polynomial as its coefficient
-literal, a rational as "p/q", a grid as comma-joined rationals), so spellings
-of the same value give byte-identical reports. Exit status is 0 when the
-requested check passes (or the command is purely computational), 1 when a
-verified property fails, and 2 on usage or domain errors, a report that
-cannot be written (to --output or to a closed stdout) among them.
+floats; decimal output appears only in fields labeled approx. argparse maps
+each subcommand to its function, which parses its arguments once and returns
+its parsed inputs, its result and its verdict as values and records, never
+as report text. ``main`` alone builds the report {command, inputs, result},
+and one writer, ``_json_text``, decides how every value in it is written: a
+polynomial as its coefficient literal, a rational as "p/q", a parameter as
+its value, and a result record as its fields by name. So spellings of the
+same value give byte-identical reports. Exit status is 0 when the requested
+check passes (or the command is purely computational), 1 when a verified
+property fails, and 2 on usage or domain errors, a report that cannot be
+written (to --output or to a closed stdout) among them.
 """
 
 from __future__ import annotations
@@ -19,11 +21,17 @@ import os
 import random
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .basis import AlphaParam, XiParam, laguerre_transform
 from .flow import (
+    FlowSample,
+    FlowTrace,
+    LocalizationReport,
+    SearchPoint,
+    Theorem1Result,
     counterexample_search,
     flow_trace,
     lemma1_localize,
@@ -36,6 +44,8 @@ from .flow import (
     verify_theorem1,
 )
 from .orthocheck import (
+    MomentBase,
+    MomentValue,
     hermite_diagonal,
     hermite_diagonal_reference,
     hermite_inner,
@@ -43,7 +53,7 @@ from .orthocheck import (
     laguerre_inner,
 )
 from .ratpoly import LITERAL_DEGREE, Poly, parse_poly_literal, poly_literal, to_rational
-from .realroot import DEFAULT_WIDTH, certify, isolate_roots
+from .realroot import DEFAULT_WIDTH, IsolatingInterval, RootCertificate, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
 
@@ -68,30 +78,29 @@ def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
     return random.Random(args.seed)
 
 
-def _cmd_transform(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_transform(args: argparse.Namespace) -> tuple[dict, object, bool]:
     f, alpha = parse_poly_literal(args.poly), AlphaParam(args.alpha)
     image = laguerre_transform(f, alpha, verify=args.verify)
-    result = {"transformed": poly_literal(image), "display": str(image)}
-    return {"poly": f, "alpha": alpha.value}, result, True
+    return {"poly": f, "alpha": alpha.value}, {"transformed": image, "display": str(image)}, True
 
 
-def _cmd_certify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_certify(args: argparse.Namespace) -> tuple[dict, object, bool]:
     f, width = parse_poly_literal(args.poly), to_rational(args.width)
-    return {"poly": f, "width": width}, certify(f, width).to_json(), True
+    return {"poly": f, "width": width}, certify(f, width), True
 
 
-def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, object, bool]:
     f, width = parse_poly_literal(args.poly), to_rational(args.width)
     intervals = isolate_roots(f, width)
     result = {
         "count": len(intervals),
-        "intervals": [iv.to_json() for iv in intervals],
+        "intervals": intervals,
         "approx": [iv.approx() for iv in intervals],
     }
     return {"poly": f, "width": width}, result, True
 
 
-def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
     alpha = AlphaParam(args.alpha)
     xi = XiParam(args.xi)
     top = args.max_index
@@ -106,7 +115,7 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         for m in range(n, top + 1):
             value = laguerre_inner(n, m, alpha)
             ok = ok and value.coeff == (laguerre_diagonal(n, alpha) if n == m else 0)
-            laguerre_entries.append({"n": n, "m": m, "value": value.to_json()})
+            laguerre_entries.append({"n": n, "m": m, "value": value})
 
     hermite_entries = []
     diagonal_ratios = []
@@ -117,14 +126,10 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
             if k == n:
                 nominal = hermite_diagonal_reference(k)
                 diagonal_ratios.append(
-                    {
-                        "k": k,
-                        "computed": str(value.coeff),
-                        "nominal": str(nominal),
-                        "ratio": str(value.coeff / nominal),
-                    }
+                    {"k": k, "computed": value.coeff, "nominal": nominal,
+                     "ratio": value.coeff / nominal}
                 )
-            hermite_entries.append({"k": k, "n": n, "value": value.to_json()})
+            hermite_entries.append({"k": k, "n": n, "value": value})
 
     result = {
         "laguerre": {"entries": laguerre_entries},
@@ -134,12 +139,12 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return {"alpha": alpha.value, "xi": xi.value, "max_index": top}, result, ok
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, object, bool]:
     if args.poly is not None:
         alpha = AlphaParam(args.alpha if args.alpha is not None else "0")
         f = parse_poly_literal(args.poly)
         result = verify_theorem1(f, alpha)
-        return {"poly": f, "alpha": alpha.value}, result.to_json(), result.passed
+        return {"poly": f, "alpha": alpha.value}, result, result.passed
 
     rng = _batch_rng(args, min_degree=1)
     fixed = None if args.alpha is None else AlphaParam(args.alpha)
@@ -150,12 +155,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         result = verify_theorem1(f, alpha)
         if not result.passed:
             failures.append(
-                {
-                    "trial": trial,
-                    "poly": poly_literal(f),
-                    "alpha": str(alpha.value),
-                    "transformed": poly_literal(result.transformed),
-                }
+                {"trial": trial, "poly": f, "alpha": alpha.value, "transformed": result.transformed}
             )
     inputs = {
         "trials": args.trials,
@@ -168,22 +168,22 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return inputs, {"trials": args.trials, "failures": failures, "passed": passed}, passed
 
 
-def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_verify_lemma1(args: argparse.Namespace) -> tuple[dict, object, bool]:
     p, xi = parse_poly_literal(args.p), XiParam(args.xi)
     alpha, eta = AlphaParam(args.alpha), to_rational(args.eta)
     localization = lemma1_localize(args.k, xi, p, alpha, eta)
     inputs = {"k": args.k, "xi": xi.value, "p": p, "alpha": alpha.value, "eta": eta}
-    return inputs, localization.to_json(), localization.passed
+    return inputs, localization, localization.passed
 
 
-def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_verify_lemma2(args: argparse.Namespace) -> tuple[dict, object, bool]:
     p, alpha, h = parse_poly_literal(args.p), AlphaParam(args.alpha), to_rational(args.h)
     localization = lemma2_localize(args.k, p, alpha, h)
     inputs = {"k": args.k, "p": p, "alpha": alpha.value, "h": h}
-    return inputs, localization.to_json(), localization.passed
+    return inputs, localization, localization.passed
 
 
-def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, object, bool]:
     if args.poly is not None:
         if args.h1 is None or args.h2 is None:
             raise ValueError("--h1 and --h2 are required with --poly")
@@ -200,8 +200,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         h1 = random_rational(rng, -64, 64)
         h2 = random_rational(rng, -64, 64)
         if not semigroup_check(f, alpha, h1, h2):
-            failures.append({"trial": trial, "poly": poly_literal(f), "alpha": str(alpha.value),
-                             "h1": str(h1), "h2": str(h2)})
+            failures.append({"trial": trial, "poly": f, "alpha": alpha.value, "h1": h1, "h2": h2})
     inputs = {"trials": args.trials, "seed": args.seed, "max_degree": args.max_degree}
     passed = not failures
     result = {"trials": args.trials, "failures": len(failures), "passed": passed}
@@ -211,37 +210,26 @@ def _cmd_semigroup(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     return inputs, result, passed
 
 
-def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, dict | str, bool]:
+def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, object, bool]:
     f, alpha = parse_poly_literal(args.poly), AlphaParam(args.alpha)
     grid, width = _parse_grid(args.grid), to_rational(args.width)
     trace = flow_trace(f, alpha, grid, width)
-    inputs = {"poly": f, "alpha": alpha.value, "grid": grid, "width": width}
+    inputs = {"poly": f, "alpha": alpha.value, "grid": ",".join(map(str, grid)), "width": width}
     if args.format == "csv":
         lines = ["h,root_index,interval_lo,interval_hi,approx"]
-        lines.extend(",".join(row) for row in trace.csv_rows())
+        for sample in trace.samples:
+            lines.extend(f"{sample.h},{idx},{iv.lo},{iv.hi},{iv.approx()}"
+                         for idx, iv in enumerate(sample.certificate.intervals))
         return inputs, "\n".join(lines), True
-    return inputs, trace.to_json(), True
+    return inputs, trace, True
 
 
-def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, object, bool]:
     alpha, grid = AlphaParam(args.alpha), _parse_grid(args.grid)
     points = counterexample_search(alpha, grid, args.k)
-    inputs = {"alpha": alpha.value, "k": args.k, "grid": grid}
-    return inputs, {"points": [p.to_json() for p in points]}, True
+    inputs = {"alpha": alpha.value, "k": args.k, "grid": ",".join(map(str, grid))}
+    return inputs, {"points": points}, True
 
-
-_COMMANDS = {
-    "transform": _cmd_transform,
-    "certify": _cmd_certify,
-    "isolate": _cmd_isolate,
-    "orthogonality": _cmd_orthogonality,
-    "verify-theorem": _cmd_verify_theorem,
-    "verify-lemma1": _cmd_verify_lemma1,
-    "verify-lemma2": _cmd_verify_lemma2,
-    "semigroup": _cmd_semigroup,
-    "flow-trace": _cmd_flow_trace,
-    "search-counterexamples": _cmd_search_counterexamples,
-}
 
 _WIDTH_DEFAULT = str(DEFAULT_WIDTH)
 
@@ -253,12 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run: Callable) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         cmd.add_argument("--output", help="write the report to this path instead of stdout")
         return cmd
 
-    cmd = add("transform", "apply the monomial-to-Laguerre transform")
+    cmd = add("transform", "apply the monomial-to-Laguerre transform", _cmd_transform)
     cmd.add_argument("--poly", required=True, help='polynomial literal, e.g. {"coeffs":["1","2"]}')
     cmd.add_argument("--alpha", default="0", help="nonnegative rational parameter")
     cmd.add_argument(
@@ -267,20 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the basis-sum result against the flow at h=1",
     )
 
-    cmd = add("certify", "certify real-rootedness via Sturm counting")
+    cmd = add("certify", "certify real-rootedness via Sturm counting", _cmd_certify)
     cmd.add_argument("--poly", required=True)
     cmd.add_argument("--width", default=_WIDTH_DEFAULT, help="max isolating-interval width")
 
-    cmd = add("isolate", "isolate all distinct real roots")
+    cmd = add("isolate", "isolate all distinct real roots", _cmd_isolate)
     cmd.add_argument("--poly", required=True)
     cmd.add_argument("--width", default=_WIDTH_DEFAULT)
 
-    cmd = add("orthogonality", "exact inner-product tables for both weighted families")
+    cmd = add("orthogonality", "exact inner-product tables for both weighted families",
+              _cmd_orthogonality)
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--xi", default="1", help="positive rational scale")
     cmd.add_argument("--max-index", type=int, default=6)
 
-    cmd = add("verify-theorem", "check the transform preserves real-rootedness")
+    cmd = add("verify-theorem", "check the transform preserves real-rootedness",
+              _cmd_verify_theorem)
     cmd.add_argument("--poly", help="single input; omit to run randomized trials")
     cmd.add_argument("--alpha", help="fixed rational (batch mode: omit to randomize per trial)")
     cmd.add_argument("--trials", type=int, default=100)
@@ -292,20 +283,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample roots of either sign instead of the verified nonnegative regime",
     )
 
-    cmd = add("verify-lemma1", "count flowed roots near xi in the Hermite-radius window")
+    cmd = add("verify-lemma1", "count flowed roots near xi in the Hermite-radius window",
+              _cmd_verify_lemma1)
     cmd.add_argument("--k", type=int, required=True)
     cmd.add_argument("--xi", required=True, help="positive rational root location")
     cmd.add_argument("--p", required=True, help="cofactor polynomial literal with p(0) != 0")
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--eta", required=True, help="positive rational; flow time is eta^2")
 
-    cmd = add("verify-lemma2", "count flowed roots near 0 in the Laguerre-radius window")
+    cmd = add("verify-lemma2", "count flowed roots near 0 in the Laguerre-radius window",
+              _cmd_verify_lemma2)
     cmd.add_argument("--k", type=int, required=True)
     cmd.add_argument("--p", required=True, help="cofactor polynomial literal with p(0) != 0")
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--h", required=True, help="positive rational flow time")
 
-    cmd = add("semigroup", "check flowing by h1 then h2 equals flowing by h1+h2")
+    cmd = add("semigroup", "check flowing by h1 then h2 equals flowing by h1+h2", _cmd_semigroup)
     cmd.add_argument("--poly", help="single input; omit to run randomized trials")
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--h1")
@@ -314,14 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, help="required for randomized trials")
     cmd.add_argument("--max-degree", type=int, default=20)
 
-    cmd = add("flow-trace", "certify the flowed polynomial along a time grid")
+    cmd = add("flow-trace", "certify the flowed polynomial along a time grid", _cmd_flow_trace)
     cmd.add_argument("--poly", required=True)
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--grid", required=True, help="comma-separated rationals, ascending from 0")
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
     cmd.add_argument("--width", default=_WIDTH_DEFAULT)
 
-    cmd = add("search-counterexamples", "map pass/fail of the transform over a root grid")
+    cmd = add("search-counterexamples", "map pass/fail of the transform over a root grid",
+              _cmd_search_counterexamples)
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--k", type=int, default=2, help="multiplicity of the probed root")
     cmd.add_argument("--grid", required=True, help="comma-separated rational root locations")
@@ -373,21 +367,35 @@ def _emit(text: str, output: str | None) -> None:
         raise ValueError(f"cannot write report to {path}: {exc.strerror or exc}") from exc
 
 
-def _canonical(value: object) -> object:
-    """An input as the report writes it: a literal, a rational string or a grid string."""
-    if isinstance(value, Poly):
-        return poly_literal(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, list):
-        return ",".join(str(q) for q in value)
-    return value
+def _certificate(cert: RootCertificate) -> dict:
+    return {"degree": cert.degree, "distinct_real_roots": cert.distinct_real_roots,
+            "real_rooted": cert.is_real_rooted, "simple": cert.is_simple,
+            "intervals": cert.intervals}
+
+
+# How _json_text writes a value that is not a JSON value, by its exact type. A
+# result record is a frozen dataclass, so its __dict__ holds its fields by name.
+_REPORT_FORMS = {
+    Poly: poly_literal,
+    **dict.fromkeys((AlphaParam, XiParam, MomentBase), lambda param: param.value),
+    IsolatingInterval: lambda iv: [iv.lo, iv.hi],
+    RootCertificate: _certificate,
+    **dict.fromkeys((Theorem1Result, LocalizationReport, FlowTrace, FlowSample, SearchPoint,
+                     MomentValue), vars),
+}
 
 
 def _json_text(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, without its pure-Python encoder.
 
-    A report holds dicts with str keys, lists or tuples, str, int, bool and None.
+    Besides dicts with str keys, lists or tuples, str, int, bool and None, a
+    report holds exact values and results, written as: a Fraction as its
+    "p/q" string, a Poly as its coefficient literal, AlphaParam, XiParam and
+    MomentBase as their value, an IsolatingInterval as [lo, hi], and a
+    RootCertificate under its report keys (real_rooted, simple). Any other
+    result record is written as its fields by name, so its report keys are
+    its field names and renaming a field changes the report bytes. Anything
+    else, a float among them, raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -395,6 +403,8 @@ def _json_text(value: object, indent: str = "\n") -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if type(value) is Fraction:  # isinstance would run Fraction's ABC check on every value
+        return f'"{value}"'
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
@@ -403,7 +413,10 @@ def _json_text(value: object, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         items = [inner + _json_text(item, inner) for item in value]
         return "[" + ",".join(items) + indent + "]" if items else "[]"
-    raise TypeError(f"a report cannot hold {type(value).__name__}")
+    form = _REPORT_FORMS.get(type(value))
+    if form is None:
+        raise TypeError(f"a report cannot hold {type(value).__name__}")
+    return _json_text(form(value), indent)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -414,14 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        inputs, result, passed = _COMMANDS[args.command](args)
+        inputs, result, passed = args.run(args)
         if not isinstance(result, str):
-            report = {
-                "command": args.command,
-                "inputs": {key: _canonical(value) for key, value in inputs.items()},
-                "result": result,
-            }
-            result = _json_text(report)
+            result = _json_text({"command": args.command, "inputs": inputs, "result": result})
         _emit(result, args.output)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

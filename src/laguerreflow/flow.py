@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .basis import AlphaParam, XiParam, heat_semigroup, laguerre, laguerre_transform, scaled_hermite
-from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, poly_literal, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
@@ -37,13 +37,6 @@ class Theorem1Result:
     transformed: Poly
     certificate: RootCertificate
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "transformed": poly_literal(self.transformed),
-            "certificate": self.certificate.to_json(),
-            "passed": self.passed,
-        }
 
 
 def verify_theorem1(
@@ -72,17 +65,6 @@ class LocalizationReport:
     passed: bool
     radius_used: Fraction
     degenerate_radius: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "window_lo": str(self.window_lo),
-            "window_hi": str(self.window_hi),
-            "roots_in_window": self.roots_in_window,
-            "passed": self.passed,
-            "radius_used": str(self.radius_used),
-            "degenerate_radius": self.degenerate_radius,
-        }
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +171,6 @@ class FlowSample:
     h: Fraction
     certificate: RootCertificate
 
-    def to_json(self) -> dict:
-        return {"h": str(self.h), "certificate": self.certificate.to_json()}
-
 
 @dataclass(frozen=True)
 class FlowTrace:
@@ -200,22 +179,6 @@ class FlowTrace:
     alpha: AlphaParam
     input: Poly
     samples: tuple[FlowSample, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": str(self.alpha.value),
-            "input": poly_literal(self.input),
-            "samples": [s.to_json() for s in self.samples],
-        }
-
-    def csv_rows(self) -> list[list[str]]:
-        """Rows (h, root_index, interval_lo, interval_hi, approx) for plotting."""
-        rows = []
-        for sample in self.samples:
-            h = str(sample.h)
-            for idx, iv in enumerate(sample.certificate.intervals):
-                rows.append([h, str(idx), str(iv.lo), str(iv.hi), iv.approx()])
-        return rows
 
 
 def flow_trace(
@@ -244,9 +207,6 @@ def flow_trace(
 class SearchPoint:
     xi: Fraction
     passed: bool
-
-    def to_json(self) -> dict:
-        return {"xi": str(self.xi), "passed": self.passed}
 
 
 def counterexample_search(

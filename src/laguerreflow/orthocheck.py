@@ -22,7 +22,6 @@ class MomentBase(enum.Enum):
 
     GAMMA_ALPHA_PLUS_1 = "gamma_alpha_plus_1"  # Gamma(alpha+1)
     SQRT_PI_XI = "sqrt_pi_xi"  # sqrt(pi*xi)
-    UNIT = "unit"
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class MomentValue:
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def to_json(self) -> dict:
-        return {"coeff": str(self.coeff), "base": self.base.value}
 
 
 def laguerre_moment(m: int, alpha: AlphaParam) -> MomentValue:

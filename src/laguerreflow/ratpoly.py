@@ -96,10 +96,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly(())
-
-    @staticmethod
     def from_roots(roots: Sequence[tuple[RationalLike, int]], lead: RationalLike = 1) -> "Poly":
         """lead * prod (x - r)^m over the given (root, multiplicity) pairs.
 
@@ -177,7 +173,7 @@ class Poly:
     def __mul__(self, other: Union["Poly", RationalLike]) -> "Poly":
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
-                return Poly.zero()
+                return Poly()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -304,8 +300,6 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
             pairs.append((_literal_rational(root, "root"), mult))
         _check_literal_degree(sum(mult for _, mult in pairs))
         lead = _literal_rational(obj.get("lead", 1), "'lead'")
-        if lead == 0:
-            raise ValueError("leading coefficient must be nonzero")
         return Poly.from_roots(pairs, lead=lead)
     raise ValueError("polynomial literal needs a 'coeffs' or 'roots' key")
 

@@ -317,9 +317,6 @@ class IsolatingInterval:
         """Decimal midpoint, display only."""
         return approx_str(self.midpoint())
 
-    def to_json(self) -> list[str]:
-        return [str(self.lo), str(self.hi)]
-
 
 class _RootContext:
     """The square-free part g of a nonzero f and g's Sturm chain, from one integer run.
@@ -521,15 +518,6 @@ class RootCertificate:
     is_real_rooted: bool
     is_simple: bool
     intervals: tuple[IsolatingInterval, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "distinct_real_roots": self.distinct_real_roots,
-            "real_rooted": self.is_real_rooted,
-            "simple": self.is_simple,
-            "intervals": [iv.to_json() for iv in self.intervals],
-        }
 
 
 def certify(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> RootCertificate:

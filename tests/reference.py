@@ -27,7 +27,7 @@ def poly_divmod(f: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     if divisor.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero or len(f.coeffs) < len(divisor.coeffs):
-        return Poly.zero(), f
+        return Poly(), f
     rem = list(f.coeffs)
     dcs = divisor.coeffs
     dn = len(dcs) - 1

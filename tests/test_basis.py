@@ -131,7 +131,7 @@ def test_scaled_hermite_is_gaussian_flow_of_monomial():
     for xi in xis:
         s = xi.value
         for k in range(0, 21):
-            expected = Poly.zero()
+            expected = Poly()
             for j in range(0, k // 2 + 1):
                 c = (-s) ** j * Fraction(factorial(k), factorial(j) * factorial(k - 2 * j))
                 expected = expected + Poly([0] * (k - 2 * j) + [c])
@@ -165,7 +165,7 @@ def test_heat_semigroup_pins():
 def test_heat_semigroup_identity_at_zero():
     f = Poly([1, 2, 3])
     assert heat_semigroup(f, AlphaParam(1), 0) == f
-    assert heat_semigroup(Poly.zero(), AlphaParam(1), 5).is_zero
+    assert heat_semigroup(Poly(), AlphaParam(1), 5).is_zero
 
 
 @settings(max_examples=60)
@@ -196,10 +196,10 @@ def test_transform_pins():
     a0 = AlphaParam(0)
     assert laguerre_transform(Poly.from_roots([(2, 2)]), a0) == Poly([10, -8, 1])
     assert laguerre_transform(Poly.from_roots([(-2, 2)]), a0) == Poly([2, 0, 1])
-    assert laguerre_transform(Poly.zero(), a0).is_zero
+    assert laguerre_transform(Poly(), a0).is_zero
     assert laguerre_transform(Poly([5]), a0) == Poly([5])
     for alpha in _random_alphas(seed=3, count=3):
-        assert laguerre_transform(Poly.zero(), alpha, verify=True).is_zero
+        assert laguerre_transform(Poly(), alpha, verify=True).is_zero
         for c in [Fraction(1), Fraction(-17, 4), Fraction(10**20 + 1, 3**40)]:
             assert laguerre_transform(Poly([c]), alpha, verify=True) == Poly([c])
 
@@ -242,7 +242,7 @@ def test_transform_matches_basis_sum_reference():
             f = Poly(
                 [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(degree + 1)]
             )
-            expected = Poly.zero()
+            expected = Poly()
             for i, a in enumerate(f.coeffs):
                 expected = expected + _textbook_laguerre(i, alpha.value) * (
                     a * (-1) ** i * factorial(i)

@@ -222,16 +222,34 @@ def test_verify_theorem_batch_failures_replay(capsys, monkeypatch):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**30) | st.text()
+    | st.fractions(),
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 )
 
 
+def fractions_as_str(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: fractions_as_str(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [fractions_as_str(item) for item in value]
+    return value
+
+
 @given(json_values)
 def test_report_writer_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    expected = json.dumps(fractions_as_str(value), sort_keys=True, indent=2)
+    assert cli._json_text(value) == expected
+
+
+@pytest.mark.parametrize("value", [0.5, object()], ids=["float", "object"])
+def test_report_writer_refuses_unknown_values(value):
+    with pytest.raises(TypeError):
+        cli._json_text({"result": [value]})
 
 
 def test_flow_trace_json_and_csv(capsys):

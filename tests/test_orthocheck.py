@@ -1,5 +1,6 @@
 """Exact moment functionals and weighted inner products."""
 
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ from laguerreflow import (
     MomentBase,
     MomentValue,
     XiParam,
+    cli,
     hermite_diagonal_reference,
     hermite_inner,
     laguerre,
@@ -60,14 +62,14 @@ def test_hermite_moment_pins():
 def test_moment_value_addition_rules():
     gamma = MomentValue(Fraction(2), MomentBase.GAMMA_ALPHA_PLUS_1)
     gauss = MomentValue(Fraction(3), MomentBase.SQRT_PI_XI)
-    zero_unit = MomentValue(Fraction(0), MomentBase.UNIT)
+    zero_gauss = MomentValue(Fraction(0), MomentBase.SQRT_PI_XI)
     assert moment_sum(gamma, gamma).coeff == 4
-    assert moment_sum(gamma, zero_unit) == gamma
-    assert moment_sum(zero_unit, gauss) == gauss
+    assert moment_sum(gamma, zero_gauss) == gamma
+    assert moment_sum(zero_gauss, gauss) == gauss
     with pytest.raises(ValueError):
         moment_sum(gamma, gauss)
     assert moment_scaled(gamma, Fraction(1, 2)).coeff == 1
-    assert gamma.to_json() == {"coeff": "2", "base": "gamma_alpha_plus_1"}
+    assert json.loads(cli._json_text(gamma)) == {"coeff": "2", "base": "gamma_alpha_plus_1"}
 
 
 def test_laguerre_inner_diagonal():
