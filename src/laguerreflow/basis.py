@@ -8,7 +8,10 @@ over the rationals for any rational time h.
 The Laguerre and Hermite families and the basis-sum transform run over integer
 numerators with one common denominator (the transform takes its input's from
 ``Poly.numerators``), so each coefficient builds one Fraction. L is applied by
-its coefficient formula. The flow stays a Fraction series: it is the
+its coefficient formula, written once in ``_lowered``. The flow builds one
+series f, Lf, ..., L^n f per polynomial as Fraction coefficient lists, sums it
+at each requested time into one list and builds one Poly per time. It never
+calls the basis kernel or a closed form of exp(-h*L) x^n, so it stays the
 transform's independent check.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .ratpoly import Poly, RationalLike, to_rational
 
@@ -99,13 +103,48 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
     return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is v^(k//2)
 
 
+def _lowered(coeffs: Sequence[Fraction], a: Fraction, count: int) -> list[Sequence[Fraction]]:
+    """coeffs and its first ``count`` images under L, which sends x^j to j*(j+a)*x^(j-1)."""
+    weights = [j * (j + a) for j in range(len(coeffs))]
+    series = [coeffs]
+    for _ in range(count):
+        prev = series[-1]
+        series.append([weights[j] * prev[j] for j in range(1, len(prev))])
+    return series
+
+
 def lambda_apply(f: Poly, alpha: AlphaParam) -> Poly:
     """Apply the lowering operator x*f'' + (alpha+1)*f', which sends x^j to j*(j+alpha)*x^(j-1).
 
     For nonconstant f of degree n the image has degree exactly n-1, since
     n*(n+alpha) > 0.
     """
-    return Poly([j * (j + alpha.value) * c for j, c in enumerate(f.coeffs)][1:])
+    return Poly(_lowered(f.coeffs, alpha.value, 1)[1])
+
+
+def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
+    """exp(-h*L) f for each h in ``times``, from one series f, Lf, ..., L^n f.
+
+    Each flow sums sum_j (-h)^j L^j f / j! into one coefficient list and
+    builds one Poly from it. h = 0 and the zero polynomial give f itself.
+    """
+    steps = [to_rational(h) for h in times]
+    if f.is_zero:
+        return (f,) * len(steps)
+    series = _lowered(f.coeffs, alpha.value, f.degree())
+    flows = []
+    for step in steps:
+        if step == 0:
+            flows.append(f)
+            continue
+        acc = list(f.coeffs)
+        scale = Fraction(1)
+        for j in range(1, len(series)):
+            scale *= -step / j
+            for i, c in enumerate(series[j]):
+                acc[i] += scale * c
+        flows.append(Poly(acc))
+    return tuple(flows)
 
 
 def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
@@ -114,17 +153,7 @@ def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
     The series stops after deg(f)+1 terms because each application of L
     lowers degree by exactly one. Degree and leading coefficient are preserved.
     """
-    step = to_rational(h)
-    if f.is_zero or step == 0:
-        return f
-    acc = f
-    power = f
-    scale = Fraction(1)
-    for j in range(1, f.degree() + 1):
-        power = lambda_apply(power, alpha)
-        scale *= -step / j
-        acc = acc + power * scale
-    return acc
+    return heat_flows(f, alpha, (h,))[0]
 
 
 def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly:

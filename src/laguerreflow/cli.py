@@ -56,6 +56,9 @@ from .ratpoly import LITERAL_DEGREE, Poly, parse_poly_literal, poly_literal, to_
 from .realroot import DEFAULT_WIDTH, IsolatingInterval, RootCertificate, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
+# Highest orthogonality table index: the table's cost grows about 30x per
+# doubling of the index, and 96 already takes seconds and a 1.5 MB report.
+MAX_ORTHOGONALITY_INDEX = 96
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -106,8 +109,8 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
     top = args.max_index
     if top < 0:
         raise ValueError("max index must be nonnegative")
-    if top > LITERAL_DEGREE:
-        raise ValueError(f"max index must be at most {LITERAL_DEGREE}, got {top}")
+    if top > MAX_ORTHOGONALITY_INDEX:
+        raise ValueError(f"max index must be at most {MAX_ORTHOGONALITY_INDEX}, got {top}")
     ok = True
 
     laguerre_entries = []

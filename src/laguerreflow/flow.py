@@ -19,7 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .basis import AlphaParam, XiParam, heat_semigroup, laguerre, laguerre_transform, scaled_hermite
+from .basis import (
+    AlphaParam,
+    XiParam,
+    heat_flows,
+    heat_semigroup,
+    laguerre,
+    laguerre_transform,
+    scaled_hermite,
+)
 from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
@@ -160,10 +168,13 @@ def lemma1_localize(
 
 
 def semigroup_check(f: Poly, alpha: AlphaParam, h1: RationalLike, h2: RationalLike) -> bool:
-    """True iff flowing by h1 then h2 equals flowing by h1 + h2, exactly."""
+    """True iff flowing by h1 then h2 equals flowing by h1 + h2, exactly.
+
+    f's series serves both of its flows; the flow by h1 is then flowed by h2.
+    """
     a, b = to_rational(h1), to_rational(h2)
-    two_step = heat_semigroup(heat_semigroup(f, alpha, a), alpha, b)
-    return two_step == heat_semigroup(f, alpha, a + b)
+    at_a, at_ab = heat_flows(f, alpha, (a, a + b))
+    return heat_semigroup(at_a, alpha, b) == at_ab
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,10 @@ def flow_trace(
     h_grid: Sequence[RationalLike],
     width: RationalLike = DEFAULT_WIDTH,
 ) -> FlowTrace:
-    """Certify the flowed polynomial at each grid time, starting from h = 0."""
+    """Certify the flowed polynomial at each grid time, starting from h = 0.
+
+    One series of f serves every time on the grid.
+    """
     if f.is_zero or f.degree() == 0:
         raise ValueError("flow tracing needs a nonconstant polynomial")
     grid = [to_rational(h) for h in h_grid]
@@ -198,7 +212,8 @@ def flow_trace(
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise ValueError("the time grid must be strictly increasing")
     samples = tuple(
-        FlowSample(h, certify(heat_semigroup(f, alpha, h), width)) for h in grid
+        FlowSample(h, certify(flowed, width))
+        for h, flowed in zip(grid, heat_flows(f, alpha, grid))
     )
     return FlowTrace(alpha, f, samples)
 

@@ -3,8 +3,9 @@
 The package works on integer numerators: one remainder sequence over Z gives
 the square-free part, the Cauchy root bound comes from a polynomial's
 integers, the Taylor shift runs on integers, the largest-root enclosure is
-confirmed at dyadic points, and the families and moment tables have closed
-integer forms. The tests check those kernels against the textbook rational
+confirmed at dyadic points, the families and moment tables have closed
+integer forms, and the heat flow sums one series per polynomial into
+coefficient lists. The tests check those kernels against the textbook rational
 operations below, which therefore live with the tests.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from laguerreflow import MomentBase, MomentValue, Poly, XiParam
+from laguerreflow import AlphaParam, MomentBase, MomentValue, Poly, XiParam
+from laguerreflow.ratpoly import RationalLike, to_rational
 from laguerreflow.realroot import _RootContext
 
 
@@ -112,6 +114,30 @@ def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:
         else:
             lo = mid
     return lo, hi
+
+
+def reference_lambda_apply(f: Poly, alpha: AlphaParam) -> Poly:
+    """Apply the lowering operator x*f'' + (alpha+1)*f', which sends x^j to j*(j+alpha)*x^(j-1)."""
+    return Poly([j * (j + alpha.value) * c for j, c in enumerate(f.coeffs)][1:])
+
+
+def reference_heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:
+    """Exact flow exp(-h*L) f, as the finite series sum_j (-h)^j L^j f / j!.
+
+    The series stops after deg(f)+1 terms because each application of L
+    lowers degree by exactly one. Degree and leading coefficient are preserved.
+    """
+    step = to_rational(h)
+    if f.is_zero or step == 0:
+        return f
+    acc = f
+    power = f
+    scale = Fraction(1)
+    for j in range(1, f.degree() + 1):
+        power = reference_lambda_apply(power, alpha)
+        scale *= -step / j
+        acc = acc + power * scale
+    return acc
 
 
 def generalized_binomial(top: Fraction, k: int) -> Fraction:

@@ -7,7 +7,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laguerreflow import (
@@ -15,6 +15,7 @@ from laguerreflow import (
     Poly,
     XiParam,
     basis,
+    heat_flows,
     heat_semigroup,
     laguerre,
     laguerre_transform,
@@ -23,7 +24,7 @@ from laguerreflow import (
     scaled_hermite,
 )
 from laguerreflow.cli import main
-from reference import generalized_binomial
+from reference import generalized_binomial, reference_heat_semigroup
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2), AlphaParam(Fraction(7, 3))]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -184,6 +185,38 @@ def test_heat_semigroup_is_linear(f, g, h):
     assert heat_semigroup(f + g, alpha, h) == heat_semigroup(f, alpha, h) + heat_semigroup(
         g, alpha, h
     )
+
+
+LARGE_DENOMINATOR_ALPHA = Fraction(10**15 + 37, 10**12 + 39)
+flow_alphas = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(12345, 9973), LARGE_DENOMINATOR_ALPHA]),
+    st.fractions(min_value=0, max_value=40, max_denominator=10**12),
+)
+flow_polys = st.lists(rationals, max_size=21).map(Poly)
+# The first time is repeated at the end, so every example flows one time twice.
+flow_times = st.lists(st.one_of(st.just(Fraction(0)), steps), min_size=1, max_size=4).map(
+    lambda ts: ts + ts[:1]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_polys, flow_alphas, flow_times)
+@example(Poly(), Fraction(0), [Fraction(0), Fraction(-3, 2), Fraction(0)])
+@example(Poly([5]), LARGE_DENOMINATOR_ALPHA, [Fraction(-7, 3), Fraction(-7, 3)])
+@example(
+    Poly([Fraction(1 - 2 * i, i + 1) for i in range(21)]),
+    LARGE_DENOMINATOR_ALPHA,
+    [Fraction(-4), Fraction(0), Fraction(1, 12), Fraction(-4)],
+)
+@example(Poly([Fraction(i, 7) - 1 for i in range(21)]), Fraction(0), [Fraction(0), Fraction(0)])
+def test_heat_flows_match_reference(f, a, times):
+    alpha = AlphaParam(a)
+    flows = heat_flows(f, alpha, times)
+    assert len(flows) == len(times)
+    for h, flowed in zip(times, flows):
+        expected = reference_heat_semigroup(f, alpha, h)
+        assert flowed == expected
+        assert heat_semigroup(f, alpha, h) == expected
 
 
 def test_flow_of_monomial_is_monic_laguerre():

@@ -125,7 +125,7 @@ def test_batch_size_errors(capsys):
             "k must be at most 1000",
         ),
         (("search-counterexamples", "--k", "1001", "--grid", "1"), "k must be at most 1000"),
-        (("orthogonality", "--max-index", "1001"), "max index must be at most 1000"),
+        (("orthogonality", "--max-index", "97"), "max index must be at most 96, got 97"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -10,6 +10,7 @@ from laguerreflow import (
     AlphaParam,
     Poly,
     XiParam,
+    certify,
     cli,
     counterexample_search,
     flow_trace,
@@ -27,6 +28,7 @@ from laguerreflow import (
     semigroup_check,
     verify_theorem1,
 )
+from reference import reference_heat_semigroup
 
 A0 = AlphaParam(0)
 
@@ -179,6 +181,32 @@ def test_semigroup_check_random():
         assert semigroup_check(
             f, random_alpha(rng), random_rational(rng, -64, 64), random_rational(rng, -64, 64)
         )
+
+
+def test_semigroup_check_agrees_with_reference():
+    rng = random.Random(2024)
+    for trial in range(60):
+        f = random_poly(rng, 20)
+        alpha = random_alpha(rng)
+        h1, h2 = random_rational(rng, -64, 64), random_rational(rng, -64, 64)
+        if trial % 5 == 0:
+            h2 = -h1
+        two_step = reference_heat_semigroup(reference_heat_semigroup(f, alpha, h1), alpha, h2)
+        law = two_step == reference_heat_semigroup(f, alpha, h1 + h2)
+        assert law
+        assert semigroup_check(f, alpha, h1, h2) == law
+
+
+def test_flow_trace_certifies_reference_flows():
+    f = Poly.from_roots([(Fraction(1, 2), 3), (2, 1), (Fraction(-3, 4), 2)])
+    alpha = AlphaParam(Fraction(5, 7))
+    grid = [0, Fraction(1, 64), Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), 1, 2]
+    width = Fraction(1, 1024)
+    trace = flow_trace(f, alpha, grid, width)
+    assert [s.h for s in trace.samples] == grid
+    for sample in trace.samples:
+        expected = certify(reference_heat_semigroup(f, alpha, sample.h), width)
+        assert cli._json_text(sample.certificate) == cli._json_text(expected)
 
 
 def test_flow_trace_theorem_regime():
