@@ -48,17 +48,24 @@ from .orthocheck import (
     MomentValue,
     hermite_diagonal,
     hermite_diagonal_reference,
-    hermite_inner,
+    hermite_table,
     laguerre_diagonal,
-    laguerre_inner,
+    laguerre_table,
 )
 from .ratpoly import LITERAL_DEGREE, Poly, parse_poly_literal, poly_literal, to_rational
 from .realroot import DEFAULT_WIDTH, IsolatingInterval, RootCertificate, certify, isolate_roots
 
 OUTDIR_ENV = "LAGUERREFLOW_OUTDIR"
-# Highest orthogonality table index: the table's cost grows about 30x per
-# doubling of the index, and 96 already takes seconds and a 1.5 MB report.
+# Highest orthogonality table index. A table costs O(T^3) integer products, one
+# moment row per polynomial: at alpha = 7/3 and xi = 5/2, index 16 takes about
+# 10 ms, 48 about 60 ms and 96 about 0.7 s and a 1.5 MB report.
 MAX_ORTHOGONALITY_INDEX = 96
+# Largest table size max_index^2 * bits, where bits is the larger of alpha's and
+# xi's numerator-plus-denominator bit lengths. The table's integers grow with
+# both factors: alpha = xi = 1e4300 would take 20 s at index 16 (2-vCPU VM,
+# Python 3.11), and the largest table accepted, index 96 with 40-bit alpha and
+# xi, takes about 9 s.
+MAX_ORTHOGONALITY_SIZE = 96 * 96 * 40
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -111,28 +118,32 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
         raise ValueError("max index must be nonnegative")
     if top > MAX_ORTHOGONALITY_INDEX:
         raise ValueError(f"max index must be at most {MAX_ORTHOGONALITY_INDEX}, got {top}")
+    bits = max(q.numerator.bit_length() + q.denominator.bit_length()
+               for q in (alpha.value, xi.value))
+    if top * top * bits > MAX_ORTHOGONALITY_SIZE:
+        raise ValueError(
+            f"table size max index^2 * bits must be at most {MAX_ORTHOGONALITY_SIZE},"
+            f" got {top}^2 * {bits}; bits is the larger numerator-plus-denominator"
+            " bit length of alpha and xi"
+        )
     ok = True
 
     laguerre_entries = []
-    for n in range(top + 1):
-        for m in range(n, top + 1):
-            value = laguerre_inner(n, m, alpha)
-            ok = ok and value.coeff == (laguerre_diagonal(n, alpha) if n == m else 0)
-            laguerre_entries.append({"n": n, "m": m, "value": value})
+    for (n, m), value in laguerre_table(top, alpha).items():
+        ok = ok and value.coeff == (laguerre_diagonal(n, alpha) if n == m else 0)
+        laguerre_entries.append({"n": n, "m": m, "value": value})
 
     hermite_entries = []
     diagonal_ratios = []
-    for k in range(top + 1):
-        for n in range(k, top + 1):
-            value = hermite_inner(k, n, xi)
-            ok = ok and value.coeff == (hermite_diagonal(k, xi) if k == n else 0)
-            if k == n:
-                nominal = hermite_diagonal_reference(k)
-                diagonal_ratios.append(
-                    {"k": k, "computed": value.coeff, "nominal": nominal,
-                     "ratio": value.coeff / nominal}
-                )
-            hermite_entries.append({"k": k, "n": n, "value": value})
+    for (k, n), value in hermite_table(top, xi).items():
+        ok = ok and value.coeff == (hermite_diagonal(k, xi) if k == n else 0)
+        if k == n:
+            nominal = hermite_diagonal_reference(k)
+            diagonal_ratios.append(
+                {"k": k, "computed": value.coeff, "nominal": nominal,
+                 "ratio": value.coeff / nominal}
+            )
+        hermite_entries.append({"k": k, "n": n, "value": value})
 
     result = {
         "laguerre": {"entries": laguerre_entries},

@@ -4,9 +4,10 @@ The package works on integer numerators: one remainder sequence over Z gives
 the square-free part, the Cauchy root bound comes from a polynomial's
 integers, the Taylor shift runs on integers, the largest-root enclosure is
 confirmed at dyadic points, the families and moment tables have closed
-integer forms, and the heat flow sums one series per polynomial into
-coefficient lists. The tests check those kernels against the textbook rational
-operations below, which therefore live with the tests.
+integer forms, an orthogonality table reuses one moment row per polynomial
+instead of expanding a product per entry, and the heat flow sums one series
+per polynomial into coefficient lists. The tests check those kernels against
+the textbook rational operations below, which therefore live with the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 from laguerreflow import AlphaParam, MomentBase, MomentValue, Poly, XiParam
+from laguerreflow.basis import _hermite_ints, _monic_laguerre_ints
 from laguerreflow.ratpoly import RationalLike, to_rational
 from laguerreflow.realroot import _RootContext
 
@@ -189,3 +191,49 @@ def moment_sum(a: MomentValue, b: MomentValue) -> MomentValue:
 
 def moment_scaled(value: MomentValue, s: Fraction) -> MomentValue:
     return MomentValue(value.coeff * s, value.base)
+
+
+def _int_product(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, c in enumerate(q):
+                out[i + j] += a * c
+    return out
+
+
+def reference_laguerre_inner(n: int, m: int, alpha: AlphaParam) -> MomentValue:
+    """Inner product of the degree-n and degree-m Laguerre polynomials.
+
+    Expands the product polynomial and sums exact monomial moments. The exact
+    diagonal is prod_{i=1}^{n}(alpha+i) / n! in units of Gamma(alpha+1), and
+    off-diagonal entries are exactly zero.
+    """
+    a, b = alpha.value.as_integer_ratio()
+    product = _int_product(_monic_laguerre_ints(n, a, b), _monic_laguerre_ints(m, a, b))
+    top = n + m
+    total, power = 0, 1  # Horner form of sum_j product[j] * prod_{i<=j}(i*b + a) * b^(top-j)
+    for j in range(top, -1, -1):
+        total = total * ((j + 1) * b + a) + product[j] * power
+        power *= b
+    den = (-1) ** top * math.factorial(n) * math.factorial(m) * b ** (2 * top)
+    return MomentValue(Fraction(total, den), MomentBase.GAMMA_ALPHA_PLUS_1)
+
+
+def reference_hermite_inner(k: int, l: int, xi: XiParam) -> MomentValue:
+    """Inner product of the degree-k and degree-l scaled Hermite polynomials.
+
+    Off-diagonal entries are exactly zero; the computed diagonal is
+    2 * k! * (2*xi)^k in units of sqrt(pi*xi).
+    """
+    if xi.value <= 0:
+        raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
+    u, v = xi.value.as_integer_ratio()
+    product = _int_product(_hermite_ints(k, u, v), _hermite_ints(l, u, v))
+    top = (k + l) // 2
+    total, power = 0, 1  # Horner form of sum_t product[2t] * (2t-1)!! * (2u)^t * v^(top-t)
+    for t in range(top, -1, -1):
+        total = total * (2 * t + 1) * 2 * u + product[2 * t] * power
+        power *= v
+    den = v ** (top + k // 2 + l // 2)
+    return MomentValue(Fraction(2 * total, den), MomentBase.SQRT_PI_XI)

@@ -126,10 +126,28 @@ def test_batch_size_errors(capsys):
         ),
         (("search-counterexamples", "--k", "1001", "--grid", "1"), "k must be at most 1000"),
         (("orthogonality", "--max-index", "97"), "max index must be at most 96, got 97"),
+        (
+            ("orthogonality", "--alpha", "1e4300", "--xi", "1e4300", "--max-index", "16"),
+            "table size max index^2 * bits must be at most 368640, got 16^2 * 14286",
+        ),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and message in err
+
+
+def test_orthogonality_table_size_bound(capsys):
+    # (2^5119 + 1)/(2^5119 + 3) has 5120 + 5120 bits: 6^2 * 10240 is exactly the bound.
+    assert 6 * 6 * 10240 == cli.MAX_ORTHOGONALITY_SIZE
+    at_bound = f"{2**5119 + 1}/{2**5119 + 3}"
+    code, report, _ = run_json(capsys, "orthogonality", "--xi", at_bound, "--max-index", "6")
+    assert code == 0 and report["result"]["orthogonal"] is True
+    # One more numerator bit puts the same table over the bound, before any entry.
+    code, out, err = run(
+        capsys, "orthogonality", "--xi", f"{2**5120 + 1}/{2**5119 + 3}", "--max-index", "6"
+    )
+    assert (code, out) == (2, "")
+    assert "must be at most 368640, got 6^2 * 10241" in err
 
 
 def test_verify_lemma2(capsys):

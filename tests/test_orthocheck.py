@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerreflow import (
     AlphaParam,
@@ -19,8 +21,20 @@ from laguerreflow import (
     laguerre_moment,
     scaled_hermite,
 )
-from laguerreflow.orthocheck import hermite_diagonal, laguerre_diagonal
-from reference import double_factorial, hermite_moment, moment_scaled, moment_sum
+from laguerreflow.orthocheck import (
+    hermite_diagonal,
+    hermite_table,
+    laguerre_diagonal,
+    laguerre_table,
+)
+from reference import (
+    double_factorial,
+    hermite_moment,
+    moment_scaled,
+    moment_sum,
+    reference_hermite_inner,
+    reference_laguerre_inner,
+)
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2)]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -115,6 +129,9 @@ def test_hermite_inner_off_diagonal_vanishes():
 def test_hermite_inner_rejects_nonpositive_xi():
     with pytest.raises(ValueError):
         hermite_inner(1, 1, XiParam(0))
+    for xi in (XiParam(0), XiParam(Fraction(-1, 3))):
+        with pytest.raises(ValueError, match="xi must be positive"):
+            hermite_table(3, xi)
 
 
 def _reference_inner(product, moment_of, base):
@@ -165,3 +182,29 @@ def test_table_diagonals():
         for k in range(10):
             assert hermite_diagonal(k, xi) == 2 * factorial(k) * (2 * xi.value) ** k
             assert hermite_diagonal(k, xi) == hermite_inner(k, k, xi).coeff
+
+
+def _rationals(smallest: int) -> st.SearchStrategy[Fraction]:
+    """smallest (0 or 1), p/q with q <= 64, or one value with 13- and 16-digit terms."""
+    return st.one_of(
+        st.just(Fraction(smallest)),
+        st.builds(Fraction, st.integers(smallest, 4096), st.integers(1, 64)),
+        st.just(Fraction(10**15 + 37, 10**12 + 39)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(top=st.integers(0, 12), a=_rationals(0), s=_rationals(1))
+def test_tables_and_entries_match_product_reference(top, a, s):
+    alpha, xi = AlphaParam(a), XiParam(s)
+    pairs = [(n, m) for n in range(top + 1) for m in range(n, top + 1)]
+    assert list(laguerre_table(top, alpha).items()) == [
+        ((n, m), reference_laguerre_inner(n, m, alpha)) for n, m in pairs
+    ]
+    assert list(hermite_table(top, xi).items()) == [
+        ((k, l), reference_hermite_inner(k, l, xi)) for k, l in pairs
+    ]
+    for n in range(top + 1):
+        for m in range(top + 1):
+            assert laguerre_inner(n, m, alpha) == reference_laguerre_inner(n, m, alpha)
+            assert hermite_inner(n, m, xi) == reference_hermite_inner(n, m, xi)
