@@ -17,6 +17,7 @@ written (to --output or to a closed stdout) among them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -248,6 +249,7 @@ def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, object,
 _WIDTH_DEFAULT = str(DEFAULT_WIDTH)
 
 
+@functools.cache  # built on first use, not at import; parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laguerreflow",

@@ -7,11 +7,12 @@ where lc^k can be negative), takes the remainder, negates it and divides out
 its integer content, so each element has the evaluation signs of the signed
 Euclidean remainder over the rationals (Collins 1967; Basu-Pollack-Roy,
 ch. 8). The last element is gcd(f, f') up to a constant, and f divided by it
-is the square-free part g: the distinct roots of f, all simple. When the gcd
-is constant the sequence already is g's Sturm chain; otherwise g gets one
-more run. Counts are sign-variation differences of that chain, evaluated with
-integer arithmetic only. Intervals follow the half-open convention:
-count_real_roots(f, lo, hi) counts distinct real roots in (lo, hi].
+is the square-free part g: the distinct roots of f, all simple. The same
+sequence, each element divided by that gcd d, is g's Sturm chain: f/d = g,
+f'/d has the sign of g' at each root of g, and each remainder relation keeps
+its positive scale. Counts are sign-variation differences of that chain,
+evaluated with integer arithmetic only. Intervals follow the half-open
+convention: count_real_roots(f, lo, hi) counts distinct roots in (lo, hi].
 
 Isolation returns the cells that bisection of (-M, M], M = p/q the strict
 Cauchy bound of g, ends in: Sturm counts split an interval while it holds two
@@ -329,8 +330,9 @@ class _RootContext:
         self.f = _positive_lead(_primitive(f.numerators()[0]))
         seq = _sturm_sequence(self.f)
         if len(seq[-1]) > 1:
-            # A repeated root: g = f / gcd(f, f') needs a chain of its own.
-            seq = _sturm_sequence(_positive_lead(_exact_quotient(self.f, seq[-1])))
+            # A repeated root: each element over d = gcd(f, f') gives g's chain.
+            d = _positive_lead(seq[-1])
+            seq = [_exact_quotient(e, d) for e in seq]
         self.chain = tuple(seq)
         self.g = self.chain[0]
         # Variations at +infinity and at -infinity, where odd degrees flip the lead's sign.

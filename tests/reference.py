@@ -4,10 +4,12 @@ The package works on integer numerators: one remainder sequence over Z gives
 the square-free part, the Cauchy root bound comes from a polynomial's
 integers, the Taylor shift runs on integers, the largest-root enclosure is
 confirmed at dyadic points, the families and moment tables have closed
-integer forms, an orthogonality table reuses one moment row per polynomial
-instead of expanding a product per entry, and the heat flow sums one series
-per polynomial into coefficient lists. The tests check those kernels against
-the textbook rational operations below, which therefore live with the tests.
+integer forms, the orthogonality tables are the only inner-product API and
+reuse one moment row per polynomial instead of expanding a product per entry,
+and the heat flow sums one series per polynomial into coefficient lists. The
+tests check those kernels against the textbook rational operations below
+(single monomial moments, single inner products from an expanded product),
+which therefore live with the tests.
 """
 
 from __future__ import annotations
@@ -159,6 +161,20 @@ def double_factorial(n: int) -> int:
         result *= n
         n -= 2
     return result
+
+
+def laguerre_moment(m: int, alpha: AlphaParam) -> MomentValue:
+    """Moment of x^m against x^alpha * e^(-x) on (0, inf).
+
+    The value is Gamma(m+alpha+1), which the Gamma recurrence writes as
+    prod_{i=1}^{m} (alpha+i) times Gamma(alpha+1).
+    """
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
+    coeff = Fraction(1)
+    for i in range(1, m + 1):
+        coeff *= alpha.value + i
+    return MomentValue(coeff, MomentBase.GAMMA_ALPHA_PLUS_1)
 
 
 def hermite_moment(m: int, xi: XiParam) -> MomentValue:

@@ -460,6 +460,17 @@ def test_pinned_report_bytes(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
+def test_reused_parser_gives_each_call_its_own_defaults(capsys):
+    single = ("verify-theorem", "--poly", '{"roots":[["1",2],["3",1]]}')
+    cli.build_parser.cache_clear()
+    first_call = run(capsys, *single)  # built afresh for this call
+    batch = run(capsys, "verify-theorem", "--alpha", "5/2", "--trials", "3", "--seed", "1")
+    assert batch[0] == 0
+    # No --alpha, --trials or --seed of the batch call leaks into the next namespace.
+    assert run(capsys, *single) == first_call
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_lemma_commands_parse_p_once(capsys, monkeypatch):
     calls = []
 

@@ -15,21 +15,16 @@ from laguerreflow import (
     XiParam,
     cli,
     hermite_diagonal_reference,
-    hermite_inner,
+    hermite_table,
     laguerre,
-    laguerre_inner,
-    laguerre_moment,
+    laguerre_table,
     scaled_hermite,
 )
-from laguerreflow.orthocheck import (
-    hermite_diagonal,
-    hermite_table,
-    laguerre_diagonal,
-    laguerre_table,
-)
+from laguerreflow.orthocheck import hermite_diagonal, laguerre_diagonal
 from reference import (
     double_factorial,
     hermite_moment,
+    laguerre_moment,
     moment_scaled,
     moment_sum,
     reference_hermite_inner,
@@ -89,30 +84,32 @@ def test_moment_value_addition_rules():
 def test_laguerre_inner_diagonal():
     for alpha in ALPHAS:
         a = alpha.value
+        table = laguerre_table(6, alpha)
         for n in range(0, 7):
             expected = Fraction(1)
             for i in range(1, n + 1):
                 expected *= a + i
             expected /= factorial(n)
-            value = laguerre_inner(n, n, alpha)
+            value = table[n, n]
             assert value.coeff == expected
             assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
-    assert laguerre_inner(2, 2, AlphaParam(Fraction(1, 2))).coeff == Fraction(15, 8)
+    assert laguerre_table(2, AlphaParam(Fraction(1, 2)))[2, 2].coeff == Fraction(15, 8)
 
 
 def test_laguerre_inner_off_diagonal_vanishes():
     for alpha in ALPHAS:
-        for n in range(0, 7):
-            for m in range(n + 1, 7):
-                assert laguerre_inner(n, m, alpha).is_zero
-                assert laguerre_inner(m, n, alpha).is_zero
+        table = laguerre_table(6, alpha)
+        assert [key for key, value in table.items() if not value.is_zero] == [
+            (n, n) for n in range(7)
+        ]
 
 
 def test_hermite_inner_diagonal_and_ratio():
     for xi in XIS:
         s = xi.value
+        table = hermite_table(6, xi)
         for k in range(0, 7):
-            value = hermite_inner(k, k, xi)
+            value = table[k, k]
             assert value.coeff == 2 * factorial(k) * (2 * s) ** k
             assert value.base is MomentBase.SQRT_PI_XI
             assert value.coeff / hermite_diagonal_reference(k) == (2 * s) ** k
@@ -120,15 +117,13 @@ def test_hermite_inner_diagonal_and_ratio():
 
 def test_hermite_inner_off_diagonal_vanishes():
     for xi in XIS:
-        for k in range(0, 7):
-            for l in range(k + 1, 7):
-                assert hermite_inner(k, l, xi).is_zero
-                assert hermite_inner(l, k, xi).is_zero
+        table = hermite_table(6, xi)
+        assert [key for key, value in table.items() if not value.is_zero] == [
+            (k, k) for k in range(7)
+        ]
 
 
 def test_hermite_inner_rejects_nonpositive_xi():
-    with pytest.raises(ValueError):
-        hermite_inner(1, 1, XiParam(0))
     for xi in (XiParam(0), XiParam(Fraction(-1, 3))):
         with pytest.raises(ValueError, match="xi must be positive"):
             hermite_table(3, xi)
@@ -147,41 +142,42 @@ LARGE_DENOMINATOR = Fraction(10**12 + 39, 10**11 + 3)
 
 def test_laguerre_inner_matches_moment_reference():
     for alpha in ALPHAS + [AlphaParam(Fraction(7, 3)), AlphaParam(LARGE_DENOMINATOR)]:
-        for n in range(13):
-            for m in range(13):
-                product = laguerre(n, alpha) * laguerre(m, alpha)
-                expected = _reference_inner(
-                    product, lambda j: laguerre_moment(j, alpha), MomentBase.GAMMA_ALPHA_PLUS_1
-                )
-                value = laguerre_inner(n, m, alpha)
-                assert value == expected
-                assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
-                assert value.is_zero == (n != m)
+        table = laguerre_table(12, alpha)
+        for (n, m), value in table.items():
+            product = laguerre(n, alpha) * laguerre(m, alpha)
+            expected = _reference_inner(
+                product, lambda j: laguerre_moment(j, alpha), MomentBase.GAMMA_ALPHA_PLUS_1
+            )
+            assert value == expected
+            assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
+            assert value.is_zero == (n != m)
 
 
 def test_hermite_inner_matches_moment_reference():
     for xi in XIS + [XiParam(Fraction(5, 2)), XiParam(LARGE_DENOMINATOR)]:
-        for k in range(13):
-            for l in range(13):
-                product = scaled_hermite(k, xi) * scaled_hermite(l, xi)
-                expected = _reference_inner(
-                    product, lambda j: hermite_moment(j, xi), MomentBase.SQRT_PI_XI
-                )
-                value = hermite_inner(k, l, xi)
-                assert value == expected
-                assert value.base is MomentBase.SQRT_PI_XI
-                assert value.is_zero == (k != l)
+        table = hermite_table(12, xi)
+        for (k, l), value in table.items():
+            product = scaled_hermite(k, xi) * scaled_hermite(l, xi)
+            expected = _reference_inner(
+                product, lambda j: hermite_moment(j, xi), MomentBase.SQRT_PI_XI
+            )
+            assert value == expected
+            assert value.base is MomentBase.SQRT_PI_XI
+            assert value.is_zero == (k != l)
 
 
 def test_table_diagonals():
     for alpha in ALPHAS + [AlphaParam(LARGE_DENOMINATOR)]:
+        table = laguerre_table(9, alpha)
         for n in range(10):
-            assert laguerre_diagonal(n, alpha) == laguerre_inner(n, n, alpha).coeff
+            assert laguerre_diagonal(n, alpha) == table[n, n].coeff
+            assert laguerre_diagonal(n, alpha) == laguerre_moment(n, alpha).coeff / factorial(n)
     assert laguerre_diagonal(2, AlphaParam(Fraction(1, 2))) == Fraction(15, 8)
     for xi in XIS:
+        table = hermite_table(9, xi)
         for k in range(10):
             assert hermite_diagonal(k, xi) == 2 * factorial(k) * (2 * xi.value) ** k
-            assert hermite_diagonal(k, xi) == hermite_inner(k, k, xi).coeff
+            assert hermite_diagonal(k, xi) == table[k, k].coeff
 
 
 def _rationals(smallest: int) -> st.SearchStrategy[Fraction]:
@@ -204,7 +200,3 @@ def test_tables_and_entries_match_product_reference(top, a, s):
     assert list(hermite_table(top, xi).items()) == [
         ((k, l), reference_hermite_inner(k, l, xi)) for k, l in pairs
     ]
-    for n in range(top + 1):
-        for m in range(top + 1):
-            assert laguerre_inner(n, m, alpha) == reference_laguerre_inner(n, m, alpha)
-            assert hermite_inner(n, m, xi) == reference_hermite_inner(n, m, xi)
