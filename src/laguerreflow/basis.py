@@ -113,15 +113,6 @@ def _lowered(coeffs: Sequence[Fraction], a: Fraction, count: int) -> list[Sequen
     return series
 
 
-def lambda_apply(f: Poly, alpha: AlphaParam) -> Poly:
-    """Apply the lowering operator x*f'' + (alpha+1)*f', which sends x^j to j*(j+alpha)*x^(j-1).
-
-    For nonconstant f of degree n the image has degree exactly n-1, since
-    n*(n+alpha) > 0.
-    """
-    return Poly(_lowered(f.coeffs, alpha.value, 1)[1])
-
-
 def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
     """exp(-h*L) f for each h in ``times``, from one series f, Lf, ..., L^n f.
 

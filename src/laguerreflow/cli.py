@@ -1,17 +1,18 @@
 """Command-line front end for scripted verification runs.
 
 Rationals cross the boundary as strings like "3/4", "-2" or "0.5", never
-floats; decimal output appears only in fields labeled approx. argparse maps
-each subcommand to its function, which parses its arguments once and returns
-its parsed inputs, its result and its verdict as values and records, never
-as report text. ``main`` alone builds the report {command, inputs, result},
-and one writer, ``_json_text``, decides how every value in it is written: a
-polynomial as its coefficient literal, a rational as "p/q", a parameter as
-its value, and a result record as its fields by name. So spellings of the
-same value give byte-identical reports. Exit status is 0 when the requested
-check passes (or the command is purely computational), 1 when a verified
-property fails, and 2 on usage or domain errors, a report that cannot be
-written (to --output or to a closed stdout) among them.
+floats; decimal output appears only in fields labeled approx, which
+``_approx`` alone writes. argparse maps each subcommand to its function,
+which parses its arguments once and returns its parsed inputs, its result and
+its verdict as values and records, never as report text. ``main`` alone
+builds the report {command, inputs, result}, and one writer, ``_json_text``,
+decides how every value in it is written: a polynomial as its coefficient
+literal, a rational as "p/q", a parameter as its value, and a result record,
+any other dataclass, as its fields by name. So spellings of the same value
+give byte-identical reports. Exit status is 0 when the requested check passes
+(or the command is purely computational), 1 when a verified property fails,
+and 2 on usage or domain errors, a report that cannot be written (to --output
+or to a closed stdout) among them.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ import random
 import re
 import sys
 from collections.abc import Callable
+from dataclasses import is_dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .basis import AlphaParam, XiParam, laguerre_transform
 from .flow import (
-    FlowSample,
-    FlowTrace,
-    LocalizationReport,
-    SearchPoint,
-    Theorem1Result,
     counterexample_search,
     flow_trace,
     lemma1_localize,
@@ -46,7 +44,6 @@ from .flow import (
 )
 from .orthocheck import (
     MomentBase,
-    MomentValue,
     hermite_diagonal,
     hermite_diagonal_reference,
     hermite_table,
@@ -74,6 +71,14 @@ def _parse_grid(text: str) -> list[Fraction]:
     if not parts or any(not piece for piece in parts):
         raise ValueError("grid must be a comma-separated list of rationals")
     return [to_rational(piece) for piece in parts]
+
+
+def _approx(iv: IsolatingInterval) -> str:
+    """The interval's midpoint as a decimal to 12 significant digits, for approx fields."""
+    mid = (iv.lo + iv.hi) / 2
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(mid.numerator) / Decimal(mid.denominator))
 
 
 def _batch_rng(args: argparse.Namespace, min_degree: int) -> random.Random:
@@ -106,7 +111,7 @@ def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, object, bool]:
     result = {
         "count": len(intervals),
         "intervals": intervals,
-        "approx": [iv.approx() for iv in intervals],
+        "approx": [_approx(iv) for iv in intervals],
     }
     return {"poly": f, "width": width}, result, True
 
@@ -233,7 +238,7 @@ def _cmd_flow_trace(args: argparse.Namespace) -> tuple[dict, object, bool]:
     if args.format == "csv":
         lines = ["h,root_index,interval_lo,interval_hi,approx"]
         for sample in trace.samples:
-            lines.extend(f"{sample.h},{idx},{iv.lo},{iv.hi},{iv.approx()}"
+            lines.extend(f"{sample.h},{idx},{iv.lo},{iv.hi},{_approx(iv)}"
                          for idx, iv in enumerate(sample.certificate.intervals))
         return inputs, "\n".join(lines), True
     return inputs, trace, True
@@ -389,15 +394,13 @@ def _certificate(cert: RootCertificate) -> dict:
             "intervals": cert.intervals}
 
 
-# How _json_text writes a value that is not a JSON value, by its exact type. A
-# result record is a frozen dataclass, so its __dict__ holds its fields by name.
+# How _json_text writes, by its exact type, a value that is not a JSON value;
+# any other dataclass is a result record, written as its fields.
 _REPORT_FORMS = {
     Poly: poly_literal,
     **dict.fromkeys((AlphaParam, XiParam, MomentBase), lambda param: param.value),
     IsolatingInterval: lambda iv: [iv.lo, iv.hi],
     RootCertificate: _certificate,
-    **dict.fromkeys((Theorem1Result, LocalizationReport, FlowTrace, FlowSample, SearchPoint,
-                     MomentValue), vars),
 }
 
 
@@ -409,9 +412,10 @@ def _json_text(value: object, indent: str = "\n") -> str:
     "p/q" string, a Poly as its coefficient literal, AlphaParam, XiParam and
     MomentBase as their value, an IsolatingInterval as [lo, hi], and a
     RootCertificate under its report keys (real_rooted, simple). Any other
-    result record is written as its fields by name, so its report keys are
-    its field names and renaming a field changes the report bytes. Anything
-    else, a float among them, raises TypeError.
+    dataclass instance is a result record and is written as its fields by
+    name (``vars``), so its report keys are its field names and renaming a
+    field changes the report bytes. Anything else, a float among them,
+    raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -430,9 +434,11 @@ def _json_text(value: object, indent: str = "\n") -> str:
         items = [inner + _json_text(item, inner) for item in value]
         return "[" + ",".join(items) + indent + "]" if items else "[]"
     form = _REPORT_FORMS.get(type(value))
-    if form is None:
-        raise TypeError(f"a report cannot hold {type(value).__name__}")
-    return _json_text(form(value), indent)
+    if form is not None:
+        return _json_text(form(value), indent)
+    if is_dataclass(value):
+        return _json_text(vars(value), indent)
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
 def main(argv: list[str] | None = None) -> int:

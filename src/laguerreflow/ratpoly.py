@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -67,13 +66,6 @@ def _check_literal_size(text: str) -> None:
             f"rational literal exceeds the bound of {LITERAL_DIGITS} digits"
             f" and exponent magnitude {LITERAL_DIGITS}"
         )
-
-
-def approx_str(q: Fraction) -> str:
-    """Decimal approximation of a rational to 12 significant digits, for display only."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 @dataclass(frozen=True)

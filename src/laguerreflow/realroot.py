@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratpoly import Poly, RationalLike, approx_str, to_rational
+from .ratpoly import Poly, RationalLike, to_rational
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
 
@@ -310,13 +310,6 @@ class IsolatingInterval:
 
     lo: Fraction
     hi: Fraction
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def approx(self) -> str:
-        """Decimal midpoint, display only."""
-        return approx_str(self.midpoint())
 
 
 class _RootContext:

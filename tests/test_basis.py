@@ -19,12 +19,11 @@ from laguerreflow import (
     heat_semigroup,
     laguerre,
     laguerre_transform,
-    lambda_apply,
     monic_laguerre,
     scaled_hermite,
 )
 from laguerreflow.cli import main
-from reference import generalized_binomial, reference_heat_semigroup
+from reference import generalized_binomial, reference_heat_semigroup, reference_lambda_apply
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2), AlphaParam(Fraction(7, 3))]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
@@ -139,18 +138,23 @@ def test_scaled_hermite_is_gaussian_flow_of_monomial():
             assert scaled_hermite(k, xi) == expected
 
 
+def lowered(f: Poly, a: Fraction) -> Poly:
+    """L f, from the one place the rule x^j -> j*(j+a)*x^(j-1) is written."""
+    return Poly(basis._lowered(f.coeffs, a, 1)[1])
+
+
 def test_lambda_apply_monomials():
     for alpha in ALPHAS:
         a = alpha.value
-        assert lambda_apply(Poly([1]), alpha).is_zero
+        assert lowered(Poly([1]), a).is_zero
         for k in range(1, 11):
-            assert lambda_apply(Poly([0] * k + [1]), alpha) == Poly([0] * (k - 1) + [k * (k + a)])
+            assert lowered(Poly([0] * k + [1]), a) == Poly([0] * (k - 1) + [k * (k + a)])
 
 
 @given(polys, polys)
 def test_lambda_apply_is_linear(f, g):
-    alpha = AlphaParam(Fraction(1, 2))
-    assert lambda_apply(f + g, alpha) == lambda_apply(f, alpha) + lambda_apply(g, alpha)
+    a = Fraction(1, 2)
+    assert lowered(f + g, a) == lowered(f, a) + lowered(g, a)
 
 
 def test_heat_semigroup_pins():
@@ -197,6 +201,11 @@ flow_polys = st.lists(rationals, max_size=21).map(Poly)
 flow_times = st.lists(st.one_of(st.just(Fraction(0)), steps), min_size=1, max_size=4).map(
     lambda ts: ts + ts[:1]
 )
+
+
+@given(flow_polys, flow_alphas)
+def test_lowering_matches_reference(f, a):
+    assert lowered(f, a) == reference_lambda_apply(f, AlphaParam(a))
 
 
 @settings(max_examples=80, deadline=None)

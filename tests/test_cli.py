@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from laguerreflow import AlphaParam, Poly, cli, laguerre_transform, parse_poly_literal
+from laguerreflow import (
+    AlphaParam,
+    IsolatingInterval,
+    Poly,
+    cli,
+    laguerre_transform,
+    parse_poly_literal,
+)
 from laguerreflow.cli import main
 
 
@@ -264,10 +273,40 @@ def test_report_writer_matches_json_dumps(value):
     assert cli._json_text(value) == expected
 
 
-@pytest.mark.parametrize("value", [0.5, object()], ids=["float", "object"])
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    count: int
+    bound: object
+
+
+def test_report_writer_writes_any_record_as_its_fields():
+    record = _Record(3, [Fraction(-1, 3), Poly([1, 2])])
+    expected = {"count": 3, "bound": ["-1/3", {"coeffs": ["1", "2"]}]}
+    assert json.loads(cli._json_text({"result": record})) == {"result": expected}
+
+
+# A namespace has fields by name but is no dataclass, so it is not a record.
+@pytest.mark.parametrize(
+    "value", [0.5, object(), _Record(1, 0.5), _Record, types.SimpleNamespace(count=1)],
+    ids=["float", "object", "record_with_float", "record_class", "namespace"],
+)
 def test_report_writer_refuses_unknown_values(value):
     with pytest.raises(TypeError):
         cli._json_text({"result": [value]})
+
+
+@pytest.mark.parametrize("lo, hi, text", [
+    (Fraction(-5, 3), Fraction(-1), "-1.33333333333"),
+    (Fraction(10**15, 3), Fraction(10**15, 3), "3.33333333333E+14"),
+    (Fraction(1, 10**15), Fraction(1, 10**15) + Fraction(2, 3 * 10**20), "1.00000333333E-15"),
+    (Fraction(-1, 7), Fraction(1, 7), "0"),
+], ids=["negative", "large", "small", "zero"])
+def test_approx_is_the_midpoint_to_12_digits(lo, hi, text):
+    mid = (lo + hi) / 2
+    with localcontext() as ctx:
+        ctx.prec = 12
+        expected = str(Decimal(mid.numerator) / Decimal(mid.denominator))
+    assert cli._approx(IsolatingInterval(lo, hi)) == expected == text
 
 
 def test_flow_trace_json_and_csv(capsys):
