@@ -43,7 +43,6 @@ from .flow import (
     verify_theorem1,
 )
 from .orthocheck import (
-    MomentBase,
     hermite_diagonal,
     hermite_diagonal_reference,
     hermite_table,
@@ -134,22 +133,24 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
         )
     ok = True
 
+    # An entry is a rational in units of its family's base constant, named beside it.
     laguerre_entries = []
     for (n, m), value in laguerre_table(top, alpha).items():
-        ok = ok and value.coeff == (laguerre_diagonal(n, alpha) if n == m else 0)
-        laguerre_entries.append({"n": n, "m": m, "value": value})
+        ok = ok and value == (laguerre_diagonal(n, alpha) if n == m else 0)
+        laguerre_entries.append(
+            {"n": n, "m": m, "value": {"base": "gamma_alpha_plus_1", "coeff": value}}
+        )
 
     hermite_entries = []
     diagonal_ratios = []
     for (k, n), value in hermite_table(top, xi).items():
-        ok = ok and value.coeff == (hermite_diagonal(k, xi) if k == n else 0)
+        ok = ok and value == (hermite_diagonal(k, xi) if k == n else 0)
         if k == n:
             nominal = hermite_diagonal_reference(k)
             diagonal_ratios.append(
-                {"k": k, "computed": value.coeff, "nominal": nominal,
-                 "ratio": value.coeff / nominal}
+                {"k": k, "computed": value, "nominal": nominal, "ratio": value / nominal}
             )
-        hermite_entries.append({"k": k, "n": n, "value": value})
+        hermite_entries.append({"k": k, "n": n, "value": {"base": "sqrt_pi_xi", "coeff": value}})
 
     result = {
         "laguerre": {"entries": laguerre_entries},
@@ -398,7 +399,7 @@ def _certificate(cert: RootCertificate) -> dict:
 # any other dataclass is a result record, written as its fields.
 _REPORT_FORMS = {
     Poly: poly_literal,
-    **dict.fromkeys((AlphaParam, XiParam, MomentBase), lambda param: param.value),
+    **dict.fromkeys((AlphaParam, XiParam), lambda param: param.value),
     IsolatingInterval: lambda iv: [iv.lo, iv.hi],
     RootCertificate: _certificate,
 }
@@ -409,13 +410,13 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
     Besides dicts with str keys, lists or tuples, str, int, bool and None, a
     report holds exact values and results, written as: a Fraction as its
-    "p/q" string, a Poly as its coefficient literal, AlphaParam, XiParam and
-    MomentBase as their value, an IsolatingInterval as [lo, hi], and a
-    RootCertificate under its report keys (real_rooted, simple). Any other
-    dataclass instance is a result record and is written as its fields by
-    name (``vars``), so its report keys are its field names and renaming a
-    field changes the report bytes. Anything else, a float among them,
-    raises TypeError.
+    "p/q" string, a Poly as its coefficient literal, AlphaParam and XiParam
+    as their value, an IsolatingInterval as [lo, hi], and a RootCertificate
+    under its report keys (real_rooted, simple). Any other dataclass
+    instance is a result record and is written as its fields by name
+    (``vars``), so its report keys are its field names and renaming a field
+    changes the report bytes. Anything else, a float among them, raises
+    TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)

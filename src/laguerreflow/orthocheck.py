@@ -3,8 +3,9 @@
 Every integral here is (polynomial) x (fixed weight), so linearity plus
 closed-form monomial moments give exact answers: no quadrature, no floats.
 Polynomials and moments are integer numerators over one denominator per entry.
-Values are rational multiples of a single base constant per weight, kept as
-an explicit tag so incompatible constants can never be summed by accident.
+An entry is a Fraction: the value in units of its family's one base constant,
+Gamma(alpha+1) for Laguerre and sqrt(pi*xi) for Hermite, which the report
+names beside it.
 
 Both families go through one table builder, and a family supplies only its
 integer polynomials P_0, ..., P_T, its moments and its denominator rule. The
@@ -17,38 +18,13 @@ order 2T, so one row serves all the entries of its row without rescaling.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import AlphaParam, XiParam, _hermite_ints, _monic_laguerre_ints
-
-
-class MomentBase(enum.Enum):
-    """Base constant a moment value multiplies."""
-
-    GAMMA_ALPHA_PLUS_1 = "gamma_alpha_plus_1"  # Gamma(alpha+1)
-    SQRT_PI_XI = "sqrt_pi_xi"  # sqrt(pi*xi)
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    """Exact value of a weighted integral: ``coeff`` times the base constant.
-
-    The tag keeps values over different constants apart; a zero coefficient
-    represents the zero value regardless of tag.
-    """
-
-    coeff: Fraction
-    base: MomentBase
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
 
 def _laguerre_moments(top: int, a: int, b: int) -> list[int]:
@@ -81,8 +57,8 @@ def _dot(p: Iterable[int], q: Iterable[int]) -> int:
 
 
 def _table(
-    polys: list[list[int]], moments: list[int], den: Callable[[int, int], int], base: MomentBase
-) -> dict[tuple[int, int], MomentValue]:
+    polys: list[list[int]], moments: list[int], den: Callable[[int, int], int]
+) -> dict[tuple[int, int], Fraction]:
     """Entry (n, m), n <= m, is sum_j polys[m][j] * row_n[j] / den(n, m), in row order.
 
     row_n[j] = sum_i polys[n][i] * mu_(i+j) holds the moments of x^j * polys[n];
@@ -94,11 +70,11 @@ def _table(
         row = [_dot(p, itertools.islice(moments, j, None)) for j in range(size)]
         for m in range(n, size):
             total = _dot(polys[m], row)
-            table[n, m] = MomentValue(Fraction(total, den(n, m)) if total else Fraction(0), base)
+            table[n, m] = Fraction(total, den(n, m)) if total else Fraction(0)
     return table
 
 
-def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], MomentValue]:
+def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], Fraction]:
     """Inner products of the Laguerre polynomials of degrees n <= m <= top, in row order.
 
     The exact diagonal is prod_{i=1}^{n}(alpha+i) / n! in units of
@@ -110,10 +86,10 @@ def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], MomentV
     def den(n: int, m: int) -> int:
         return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * b ** (n + m + 2 * top)
 
-    return _table(polys, _laguerre_moments(top, a, b), den, MomentBase.GAMMA_ALPHA_PLUS_1)
+    return _table(polys, _laguerre_moments(top, a, b), den)
 
 
-def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], MomentValue]:
+def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], Fraction]:
     """Inner products of the scaled Hermite polynomials of degrees k <= l <= top, in row order.
 
     Off-diagonal entries are exactly zero; the computed diagonal is
@@ -124,7 +100,7 @@ def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], MomentValue]:
     u, v = xi.value.as_integer_ratio()
     polys = [_hermite_ints(k, u, v) for k in range(top + 1)]
     moments = _hermite_moments(top, u, v)
-    return _table(polys, moments, lambda k, l: v ** (top + k // 2 + l // 2), MomentBase.SQRT_PI_XI)
+    return _table(polys, moments, lambda k, l: v ** (top + k // 2 + l // 2))
 
 
 def laguerre_diagonal(n: int, alpha: AlphaParam) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from laguerreflow import AlphaParam, MomentBase, MomentValue, Poly, XiParam
+from laguerreflow import AlphaParam, Poly, XiParam
 from laguerreflow.basis import _hermite_ints, _monic_laguerre_ints
 from laguerreflow.ratpoly import RationalLike, to_rational
 from laguerreflow.realroot import _RootContext
@@ -163,50 +163,36 @@ def double_factorial(n: int) -> int:
     return result
 
 
-def laguerre_moment(m: int, alpha: AlphaParam) -> MomentValue:
+def laguerre_moment(m: int, alpha: AlphaParam) -> Fraction:
     """Moment of x^m against x^alpha * e^(-x) on (0, inf).
 
     The value is Gamma(m+alpha+1), which the Gamma recurrence writes as
-    prod_{i=1}^{m} (alpha+i) times Gamma(alpha+1).
+    prod_{i=1}^{m} (alpha+i) times Gamma(alpha+1); the value is returned in
+    units of Gamma(alpha+1).
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     coeff = Fraction(1)
     for i in range(1, m + 1):
         coeff *= alpha.value + i
-    return MomentValue(coeff, MomentBase.GAMMA_ALPHA_PLUS_1)
+    return coeff
 
 
-def hermite_moment(m: int, xi: XiParam) -> MomentValue:
+def hermite_moment(m: int, xi: XiParam) -> Fraction:
     """Moment of x^m against e^(-x^2/(4*xi)) on the whole line.
 
     Odd moments vanish by symmetry; for m = 2t the Gaussian with variance
-    2*xi gives (2t-1)!! * (2*xi)^t times the total mass 2*sqrt(pi*xi).
+    2*xi gives (2t-1)!! * (2*xi)^t times the total mass 2*sqrt(pi*xi); the
+    value is returned in units of sqrt(pi*xi).
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     if xi.value <= 0:
         raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
     if m % 2:
-        return MomentValue(Fraction(0), MomentBase.SQRT_PI_XI)
+        return Fraction(0)
     t = m // 2
-    coeff = 2 * double_factorial(2 * t - 1) * (2 * xi.value) ** t
-    return MomentValue(coeff, MomentBase.SQRT_PI_XI)
-
-
-def moment_sum(a: MomentValue, b: MomentValue) -> MomentValue:
-    """a + b; values over different base constants are never added, zero takes any base."""
-    if a.is_zero:
-        return MomentValue(b.coeff, b.base if not b.is_zero else a.base)
-    if b.is_zero:
-        return a
-    if a.base is not b.base:
-        raise ValueError(f"cannot add values over {a.base.value} and {b.base.value}")
-    return MomentValue(a.coeff + b.coeff, a.base)
-
-
-def moment_scaled(value: MomentValue, s: Fraction) -> MomentValue:
-    return MomentValue(value.coeff * s, value.base)
+    return 2 * double_factorial(2 * t - 1) * (2 * xi.value) ** t
 
 
 def _int_product(p: list[int], q: list[int]) -> list[int]:
@@ -218,7 +204,7 @@ def _int_product(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def reference_laguerre_inner(n: int, m: int, alpha: AlphaParam) -> MomentValue:
+def reference_laguerre_inner(n: int, m: int, alpha: AlphaParam) -> Fraction:
     """Inner product of the degree-n and degree-m Laguerre polynomials.
 
     Expands the product polynomial and sums exact monomial moments. The exact
@@ -233,10 +219,10 @@ def reference_laguerre_inner(n: int, m: int, alpha: AlphaParam) -> MomentValue:
         total = total * ((j + 1) * b + a) + product[j] * power
         power *= b
     den = (-1) ** top * math.factorial(n) * math.factorial(m) * b ** (2 * top)
-    return MomentValue(Fraction(total, den), MomentBase.GAMMA_ALPHA_PLUS_1)
+    return Fraction(total, den)
 
 
-def reference_hermite_inner(k: int, l: int, xi: XiParam) -> MomentValue:
+def reference_hermite_inner(k: int, l: int, xi: XiParam) -> Fraction:
     """Inner product of the degree-k and degree-l scaled Hermite polynomials.
 
     Off-diagonal entries are exactly zero; the computed diagonal is
@@ -252,4 +238,4 @@ def reference_hermite_inner(k: int, l: int, xi: XiParam) -> MomentValue:
         total = total * (2 * t + 1) * 2 * u + product[2 * t] * power
         power *= v
     den = v ** (top + k // 2 + l // 2)
-    return MomentValue(Fraction(2 * total, den), MomentBase.SQRT_PI_XI)
+    return Fraction(2 * total, den)

@@ -82,8 +82,7 @@ def test_criterion_3_laguerre_orthogonality():
                     diag *= a + i
                 diag /= factorial(n)
                 for m in range(n, 11):
-                    value = table[n, m]
-                    assert value.coeff == (diag if n == m else 0)
+                    assert table[n, m] == (diag if n == m else 0)
 
 
 def test_criterion_4_hermite_orthogonality():
@@ -96,10 +95,10 @@ def test_criterion_4_hermite_orthogonality():
                 for l in range(k, 11):
                     value = table[k, l]
                     if k == l:
-                        assert value.coeff == 2 * factorial(k) * (2 * s) ** k
-                        ratios.append(value.coeff / (2 * factorial(k)))
+                        assert value == 2 * factorial(k) * (2 * s) ** k
+                        ratios.append(value / (2 * factorial(k)))
                     else:
-                        assert value.coeff == 0
+                        assert value == 0
             assert ratios == [(2 * s) ** k for k in range(11)]
             print(f"  diagonal ratio to nominal 2*k! at xi={s}: (2*xi)^k, k=0..10")
 

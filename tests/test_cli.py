@@ -88,6 +88,23 @@ def test_orthogonality(capsys):
     assert all(e["value"]["coeff"] == "0" for e in off)
 
 
+def test_orthogonality_entries_name_their_base_constant(capsys):
+    code, report, _ = run_json(capsys, "orthogonality", "--max-index", "6")
+    assert code == 0
+    result = report["result"]
+    families = {
+        "laguerre": ("n", "m", "gamma_alpha_plus_1"),
+        "hermite": ("k", "n", "sqrt_pi_xi"),
+    }
+    for family, (row, col, base) in families.items():
+        entries = result[family]["entries"]
+        assert len(entries) == 7 * 8 // 2
+        assert {entry["value"]["base"] for entry in entries} == {base}
+        assert all(set(entry["value"]) == {"base", "coeff"} for entry in entries)
+        off = [entry["value"]["coeff"] for entry in entries if entry[row] != entry[col]]
+        assert off == ["0"] * (7 * 6 // 2)
+
+
 def test_verify_theorem_single_pass_and_fail(capsys):
     code, report, _ = run_json(
         capsys, "verify-theorem", "--alpha", "0", "--poly", '{"roots":[["2",2]]}'

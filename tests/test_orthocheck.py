@@ -1,6 +1,5 @@
 """Exact moment functionals and weighted inner products."""
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -10,10 +9,7 @@ from hypothesis import strategies as st
 
 from laguerreflow import (
     AlphaParam,
-    MomentBase,
-    MomentValue,
     XiParam,
-    cli,
     hermite_diagonal_reference,
     hermite_table,
     laguerre,
@@ -25,8 +21,6 @@ from reference import (
     double_factorial,
     hermite_moment,
     laguerre_moment,
-    moment_scaled,
-    moment_sum,
     reference_hermite_inner,
     reference_laguerre_inner,
 )
@@ -45,40 +39,25 @@ def test_double_factorial():
 
 
 def test_laguerre_moment_pins():
-    assert laguerre_moment(0, AlphaParam(0)).coeff == 1
-    assert laguerre_moment(3, AlphaParam(0)).coeff == 6
-    assert laguerre_moment(2, AlphaParam(Fraction(1, 2))).coeff == Fraction(15, 4)
-    assert laguerre_moment(1, AlphaParam(2)).coeff == 3
-    assert laguerre_moment(5, AlphaParam(0)).base is MomentBase.GAMMA_ALPHA_PLUS_1
+    assert laguerre_moment(0, AlphaParam(0)) == 1
+    assert laguerre_moment(3, AlphaParam(0)) == 6
+    assert laguerre_moment(2, AlphaParam(Fraction(1, 2))) == Fraction(15, 4)
+    assert laguerre_moment(1, AlphaParam(2)) == 3
     with pytest.raises(ValueError):
         laguerre_moment(-1, AlphaParam(0))
 
 
 def test_hermite_moment_pins():
-    assert hermite_moment(1, XiParam(1)).is_zero
-    assert hermite_moment(7, XiParam(3)).is_zero
-    assert hermite_moment(0, XiParam(1)).coeff == 2
-    assert hermite_moment(2, XiParam(1)).coeff == 4
-    assert hermite_moment(4, XiParam(1)).coeff == 24
-    assert hermite_moment(2, XiParam(Fraction(1, 2))).coeff == 2
-    assert hermite_moment(2, XiParam(1)).base is MomentBase.SQRT_PI_XI
+    assert hermite_moment(1, XiParam(1)) == 0
+    assert hermite_moment(7, XiParam(3)) == 0
+    assert hermite_moment(0, XiParam(1)) == 2
+    assert hermite_moment(2, XiParam(1)) == 4
+    assert hermite_moment(4, XiParam(1)) == 24
+    assert hermite_moment(2, XiParam(Fraction(1, 2))) == 2
     with pytest.raises(ValueError):
         hermite_moment(2, XiParam(0))
     with pytest.raises(ValueError):
         hermite_moment(2, XiParam(-1))
-
-
-def test_moment_value_addition_rules():
-    gamma = MomentValue(Fraction(2), MomentBase.GAMMA_ALPHA_PLUS_1)
-    gauss = MomentValue(Fraction(3), MomentBase.SQRT_PI_XI)
-    zero_gauss = MomentValue(Fraction(0), MomentBase.SQRT_PI_XI)
-    assert moment_sum(gamma, gamma).coeff == 4
-    assert moment_sum(gamma, zero_gauss) == gamma
-    assert moment_sum(zero_gauss, gauss) == gauss
-    with pytest.raises(ValueError):
-        moment_sum(gamma, gauss)
-    assert moment_scaled(gamma, Fraction(1, 2)).coeff == 1
-    assert json.loads(cli._json_text(gamma)) == {"coeff": "2", "base": "gamma_alpha_plus_1"}
 
 
 def test_laguerre_inner_diagonal():
@@ -90,18 +69,14 @@ def test_laguerre_inner_diagonal():
             for i in range(1, n + 1):
                 expected *= a + i
             expected /= factorial(n)
-            value = table[n, n]
-            assert value.coeff == expected
-            assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
-    assert laguerre_table(2, AlphaParam(Fraction(1, 2)))[2, 2].coeff == Fraction(15, 8)
+            assert table[n, n] == expected
+    assert laguerre_table(2, AlphaParam(Fraction(1, 2)))[2, 2] == Fraction(15, 8)
 
 
 def test_laguerre_inner_off_diagonal_vanishes():
     for alpha in ALPHAS:
         table = laguerre_table(6, alpha)
-        assert [key for key, value in table.items() if not value.is_zero] == [
-            (n, n) for n in range(7)
-        ]
+        assert [key for key, value in table.items() if value != 0] == [(n, n) for n in range(7)]
 
 
 def test_hermite_inner_diagonal_and_ratio():
@@ -110,17 +85,14 @@ def test_hermite_inner_diagonal_and_ratio():
         table = hermite_table(6, xi)
         for k in range(0, 7):
             value = table[k, k]
-            assert value.coeff == 2 * factorial(k) * (2 * s) ** k
-            assert value.base is MomentBase.SQRT_PI_XI
-            assert value.coeff / hermite_diagonal_reference(k) == (2 * s) ** k
+            assert value == 2 * factorial(k) * (2 * s) ** k
+            assert value / hermite_diagonal_reference(k) == (2 * s) ** k
 
 
 def test_hermite_inner_off_diagonal_vanishes():
     for xi in XIS:
         table = hermite_table(6, xi)
-        assert [key for key, value in table.items() if not value.is_zero] == [
-            (k, k) for k in range(7)
-        ]
+        assert [key for key, value in table.items() if value != 0] == [(k, k) for k in range(7)]
 
 
 def test_hermite_inner_rejects_nonpositive_xi():
@@ -129,12 +101,9 @@ def test_hermite_inner_rejects_nonpositive_xi():
             hermite_table(3, xi)
 
 
-def _reference_inner(product, moment_of, base):
-    """Sum of the product's coefficients times Fraction moments, as MomentValues."""
-    value = MomentValue(Fraction(0), base)
-    for j, c in enumerate(product.coeffs):
-        value = moment_sum(value, moment_scaled(moment_of(j), c))
-    return value
+def _reference_inner(product, moment_of):
+    """Sum of the product's coefficients times Fraction moments."""
+    return sum((c * moment_of(j) for j, c in enumerate(product.coeffs)), Fraction(0))
 
 
 LARGE_DENOMINATOR = Fraction(10**12 + 39, 10**11 + 3)
@@ -145,12 +114,8 @@ def test_laguerre_inner_matches_moment_reference():
         table = laguerre_table(12, alpha)
         for (n, m), value in table.items():
             product = laguerre(n, alpha) * laguerre(m, alpha)
-            expected = _reference_inner(
-                product, lambda j: laguerre_moment(j, alpha), MomentBase.GAMMA_ALPHA_PLUS_1
-            )
-            assert value == expected
-            assert value.base is MomentBase.GAMMA_ALPHA_PLUS_1
-            assert value.is_zero == (n != m)
+            assert value == _reference_inner(product, lambda j: laguerre_moment(j, alpha))
+            assert (value == 0) == (n != m)
 
 
 def test_hermite_inner_matches_moment_reference():
@@ -158,26 +123,22 @@ def test_hermite_inner_matches_moment_reference():
         table = hermite_table(12, xi)
         for (k, l), value in table.items():
             product = scaled_hermite(k, xi) * scaled_hermite(l, xi)
-            expected = _reference_inner(
-                product, lambda j: hermite_moment(j, xi), MomentBase.SQRT_PI_XI
-            )
-            assert value == expected
-            assert value.base is MomentBase.SQRT_PI_XI
-            assert value.is_zero == (k != l)
+            assert value == _reference_inner(product, lambda j: hermite_moment(j, xi))
+            assert (value == 0) == (k != l)
 
 
 def test_table_diagonals():
     for alpha in ALPHAS + [AlphaParam(LARGE_DENOMINATOR)]:
         table = laguerre_table(9, alpha)
         for n in range(10):
-            assert laguerre_diagonal(n, alpha) == table[n, n].coeff
-            assert laguerre_diagonal(n, alpha) == laguerre_moment(n, alpha).coeff / factorial(n)
+            assert laguerre_diagonal(n, alpha) == table[n, n]
+            assert laguerre_diagonal(n, alpha) == laguerre_moment(n, alpha) / factorial(n)
     assert laguerre_diagonal(2, AlphaParam(Fraction(1, 2))) == Fraction(15, 8)
     for xi in XIS:
         table = hermite_table(9, xi)
         for k in range(10):
             assert hermite_diagonal(k, xi) == 2 * factorial(k) * (2 * xi.value) ** k
-            assert hermite_diagonal(k, xi) == table[k, k].coeff
+            assert hermite_diagonal(k, xi) == table[k, k]
 
 
 def _rationals(smallest: int) -> st.SearchStrategy[Fraction]:
