@@ -117,17 +117,11 @@ def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tup
     """exp(-h*L) f for each h in ``times``, from one series f, Lf, ..., L^n f.
 
     Each flow sums sum_j (-h)^j L^j f / j! into one coefficient list and
-    builds one Poly from it. h = 0 and the zero polynomial give f itself.
+    builds one Poly from it. h = 0 and the zero polynomial give f.
     """
-    steps = [to_rational(h) for h in times]
-    if f.is_zero:
-        return (f,) * len(steps)
-    series = _lowered(f.coeffs, alpha.value, f.degree())
+    series = _lowered(f.coeffs, alpha.value, len(f.coeffs) - 1)
     flows = []
-    for step in steps:
-        if step == 0:
-            flows.append(f)
-            continue
+    for step in map(to_rational, times):
         acc = list(f.coeffs)
         scale = Fraction(1)
         for j in range(1, len(series)):

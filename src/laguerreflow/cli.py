@@ -7,7 +7,7 @@ which parses its arguments once and returns its parsed inputs, its result and
 its verdict as values and records, never as report text. ``main`` alone
 builds the report {command, inputs, result}, and one writer, ``_json_text``,
 decides how every value in it is written: a polynomial as its coefficient
-literal, a rational as "p/q", a parameter as its value, and a result record,
+literal, a rational as "p/q", alpha as its value, and a result record,
 any other dataclass, as its fields by name. So spellings of the same value
 give byte-identical reports. Exit status is 0 when the requested check passes
 (or the command is purely computational), 1 when a verified property fails,
@@ -252,9 +252,6 @@ def _cmd_search_counterexamples(args: argparse.Namespace) -> tuple[dict, object,
     return inputs, {"points": points}, True
 
 
-_WIDTH_DEFAULT = str(DEFAULT_WIDTH)
-
-
 @functools.cache  # built on first use, not at import; parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -280,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add("certify", "certify real-rootedness via Sturm counting", _cmd_certify)
     cmd.add_argument("--poly", required=True)
-    cmd.add_argument("--width", default=_WIDTH_DEFAULT, help="max isolating-interval width")
+    cmd.add_argument("--width", default=DEFAULT_WIDTH, help="max isolating-interval width")
 
     cmd = add("isolate", "isolate all distinct real roots", _cmd_isolate)
     cmd.add_argument("--poly", required=True)
-    cmd.add_argument("--width", default=_WIDTH_DEFAULT)
+    cmd.add_argument("--width", default=DEFAULT_WIDTH)
 
     cmd = add("orthogonality", "exact inner-product tables for both weighted families",
               _cmd_orthogonality)
@@ -334,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--alpha", default="0")
     cmd.add_argument("--grid", required=True, help="comma-separated rationals, ascending from 0")
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
-    cmd.add_argument("--width", default=_WIDTH_DEFAULT)
+    cmd.add_argument("--width", default=DEFAULT_WIDTH)
 
     cmd = add("search-counterexamples", "map pass/fail of the transform over a root grid",
               _cmd_search_counterexamples)
@@ -399,7 +396,7 @@ def _certificate(cert: RootCertificate) -> dict:
 # any other dataclass is a result record, written as its fields.
 _REPORT_FORMS = {
     Poly: poly_literal,
-    **dict.fromkeys((AlphaParam, XiParam), lambda param: param.value),
+    AlphaParam: lambda alpha: alpha.value,
     IsolatingInterval: lambda iv: [iv.lo, iv.hi],
     RootCertificate: _certificate,
 }
@@ -410,10 +407,10 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
     Besides dicts with str keys, lists or tuples, str, int, bool and None, a
     report holds exact values and results, written as: a Fraction as its
-    "p/q" string, a Poly as its coefficient literal, AlphaParam and XiParam
-    as their value, an IsolatingInterval as [lo, hi], and a RootCertificate
-    under its report keys (real_rooted, simple). Any other dataclass
-    instance is a result record and is written as its fields by name
+    "p/q" string, a Poly as its coefficient literal, an AlphaParam
+    (FlowTrace.alpha) as its value, an IsolatingInterval as [lo, hi], and a
+    RootCertificate under its report keys (real_rooted, simple). Any other
+    dataclass instance is a result record and is written as its fields by name
     (``vars``), so its report keys are its field names and renaming a field
     changes the report bytes. Anything else, a float among them, raises
     TypeError.

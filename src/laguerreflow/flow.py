@@ -146,10 +146,10 @@ def lemma1_localize(
     """Count roots of the flowed (x-xi)^k * p(x-xi) near xi, at flow time eta^2.
 
     The window is (xi - 2*r*eta, xi + 2*r*eta) with r the certified Hermite
-    radius bound, so both endpoints stay rational. For k = 1 that radius is 0
-    and the literal window is empty; a fallback radius of 1 is used instead
-    and flagged, so the degenerate case is surfaced rather than silently
-    passed or failed.
+    radius bound, so both endpoints stay rational; ``hermite_radius_bound``
+    refuses xi < 0 for every k. For k = 1 that radius is 0 and the literal
+    window is empty; a fallback radius of 1 is used instead and flagged, so the
+    degenerate case is surfaced rather than silently passed or failed.
     """
     _require_k_and_cofactor(k, p)
     step = to_rational(eta)
@@ -158,12 +158,9 @@ def lemma1_localize(
     xv = xi.value
     if xv == 0:
         raise ValueError("xi must be nonzero (the origin case is the Laguerre-window lemma)")
-    if xv < 0:
-        raise ValueError(
-            "Hermite radius undefined: the scaled family lacks a full set of real roots for xi < 0"
-        )
+    bound = hermite_radius_bound(k, xi)  # refuses xi < 0, at k = 1 too
     degenerate = k == 1
-    radius = Fraction(1) if degenerate else hermite_radius_bound(k, xi)
+    radius = Fraction(1) if degenerate else bound
     return _window_count(k, p, alpha, step * step, xv, radius, step, degenerate)
 
 

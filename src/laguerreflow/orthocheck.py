@@ -7,13 +7,14 @@ An entry is a Fraction: the value in units of its family's one base constant,
 Gamma(alpha+1) for Laguerre and sqrt(pi*xi) for Hermite, which the report
 names beside it.
 
-Both families go through one table builder, and a family supplies only its
-integer polynomials P_0, ..., P_T, its moments and its denominator rule. The
+Both families go through one table builder. A family supplies its integer
+polynomials P_0, ..., P_T with the denominator of each, read off its integer
+lead, and its moments mu_k over their common denominator, that of the highest
+order 2T, so one row serves all the entries of its row without rescaling. The
 row of P_n is row_n[j] = sum_i P_n[i] * mu_(i+j), the moments of x^j * P_n,
-formed once; entry (n, m) is then sum_j P_m[j] * row_n[j]. So a table costs
-O(T^3) integer products, where expanding each product P_n * P_m would cost
-O(T^4). Every moment of a table is scaled to the denominator of its highest
-order 2T, so one row serves all the entries of its row without rescaling.
+formed once; entry (n, m) is then sum_j P_m[j] * row_n[j] over the product of
+the three denominators. So a table costs O(T^3) integer products, where
+expanding each product P_n * P_m would cost O(T^4).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .basis import AlphaParam, XiParam, _hermite_ints, _monic_laguerre_ints
@@ -57,12 +58,14 @@ def _dot(p: Iterable[int], q: Iterable[int]) -> int:
 
 
 def _table(
-    polys: list[list[int]], moments: list[int], den: Callable[[int, int], int]
+    polys: list[list[int]], dens: list[int], moments: list[int], moment_den: int
 ) -> dict[tuple[int, int], Fraction]:
-    """Entry (n, m), n <= m, is sum_j polys[m][j] * row_n[j] / den(n, m), in row order.
+    """Entry (n, m), n <= m, is total / (moment_den * dens[n] * dens[m]), in row order.
 
-    row_n[j] = sum_i polys[n][i] * mu_(i+j) holds the moments of x^j * polys[n];
-    it is formed once and serves the whole row. A zero total needs no denominator.
+    P_n = polys[n] / dens[n] and the moment of x^k is moments[k] / moment_den.
+    total = sum_j polys[m][j] * row_n[j], where row_n[j] = sum_i polys[n][i] *
+    mu_(i+j), the moments of x^j * polys[n], is formed once and serves the
+    whole row. A zero total needs no denominator.
     """
     size = len(polys)
     table = {}
@@ -70,7 +73,7 @@ def _table(
         row = [_dot(p, itertools.islice(moments, j, None)) for j in range(size)]
         for m in range(n, size):
             total = _dot(polys[m], row)
-            table[n, m] = Fraction(total, den(n, m)) if total else Fraction(0)
+            table[n, m] = Fraction(total, moment_den * dens[n] * dens[m]) if total else Fraction(0)
     return table
 
 
@@ -82,11 +85,9 @@ def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], Fractio
     """
     a, b = alpha.value.as_integer_ratio()
     polys = [_monic_laguerre_ints(n, a, b) for n in range(top + 1)]
-
-    def den(n: int, m: int) -> int:
-        return (-1) ** (n + m) * math.factorial(n) * math.factorial(m) * b ** (n + m + 2 * top)
-
-    return _table(polys, _laguerre_moments(top, a, b), den)
+    # The denominator of laguerre(n, alpha) over polys[n]; polys[n][-1] is b^n.
+    dens = [(-1) ** n * math.factorial(n) * p[-1] for n, p in enumerate(polys)]
+    return _table(polys, dens, _laguerre_moments(top, a, b), b ** (2 * top))
 
 
 def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], Fraction]:
@@ -99,8 +100,7 @@ def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], Fraction]:
         raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
     u, v = xi.value.as_integer_ratio()
     polys = [_hermite_ints(k, u, v) for k in range(top + 1)]
-    moments = _hermite_moments(top, u, v)
-    return _table(polys, moments, lambda k, l: v ** (top + k // 2 + l // 2))
+    return _table(polys, [p[-1] for p in polys], _hermite_moments(top, u, v), v**top)
 
 
 def laguerre_diagonal(n: int, alpha: AlphaParam) -> Fraction:

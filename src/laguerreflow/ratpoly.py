@@ -266,6 +266,8 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
             obj = json.loads(literal, parse_int=_bounded_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"polynomial literal is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError("polynomial literal nests too deeply") from exc
     else:
         obj = literal
     if not isinstance(obj, dict):

@@ -280,16 +280,12 @@ def count_real_roots(
     Counting runs on the square-free part, so multiplicities never inflate the
     result and endpoints that happen to be multiple roots stay well-defined.
     """
-    if f.is_zero:
-        raise ValueError("root counting on the zero polynomial is undefined")
     lo_q, hi_q = _validated_bounds(lo, hi)
     return _RootContext(f).count(lo_q, hi_q)
 
 
 def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     """Distinct real roots in the open interval (lo, hi), finite endpoints."""
-    if f.is_zero:
-        raise ValueError("root counting on the zero polynomial is undefined")
     lo_q, hi_q = _validated_bounds(lo, hi)
     return _RootContext(f).count_open(lo_q, hi_q)
 
@@ -320,6 +316,8 @@ class _RootContext:
     """
 
     def __init__(self, f: Poly):
+        if f.is_zero:
+            raise ValueError("root counting on the zero polynomial is undefined")
         self.f = _positive_lead(_primitive(f.numerators()[0]))
         seq = _sturm_sequence(self.f)
         if len(seq[-1]) > 1:

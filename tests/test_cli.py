@@ -391,6 +391,20 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--poly", '{"roots":[["1",1000000000]]}')
     assert code == 2 and "degree bound of 1000" in err
 
+    # Past the JSON decoder's recursion limit: exit 2 with one error line.
+    deep = '{"coeffs":' + "[" * 1000 + "]" * 1000 + "}"
+    code, out, err = run(capsys, "certify", "--poly", deep)
+    assert (code, out, err) == (2, "", "error: polynomial literal nests too deeply\n")
+
+    code, _, err = run(capsys, "flow-trace", "--poly", '{"coeffs":["0","1"]}', "--grid", ",1")
+    assert code == 2 and "comma-separated list" in err
+
+    code, _, err = run(capsys, "orthogonality", "--max-index", "-1")
+    assert code == 2 and "max index must be nonnegative" in err
+
+    code, _, err = run(capsys, "semigroup", "--poly", '{"coeffs":["1"]}', "--h1", "1")
+    assert code == 2 and "--h1 and --h2 are required" in err
+
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(
         capsys, "certify", "--poly", '{"coeffs":["-2","0","1"]}', "--output", str(target)
@@ -501,6 +515,29 @@ def test_closed_pipe_exits_2_without_traceback(argv):
     # One error line: no traceback, and nothing "ignored" at interpreter exit.
     assert done.stderr == "error: cannot write report to stdout: Broken pipe\n"
     assert done.returncode == 2
+
+
+def test_reader_closing_mid_report_exits_2_without_traceback():
+    # As `| head -1`: the report (about 100 kB) outgrows the 64 KiB pipe buffer,
+    # so console_main is still writing when the reader goes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "laguerreflow.cli", "orthogonality", "--max-index", "24"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == "error: cannot write report to stdout: Broken pipe\n"
+    assert code == 2
 
 
 PINNED_REPORTS = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())[

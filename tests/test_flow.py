@@ -158,8 +158,10 @@ def test_lemma1_degenerate_k1():
 def test_lemma1_rejects_bad_hypotheses():
     with pytest.raises(ValueError):
         lemma1_localize(2, XiParam(0), Poly([1]), A0, Fraction(1, 10))
-    with pytest.raises(ValueError, match="Hermite radius undefined"):
-        lemma1_localize(2, XiParam(-1), Poly([1]), A0, Fraction(1, 10))
+    # The radius bound refuses xi < 0 at every k, k = 1 (radius 1 fallback) too.
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="Hermite radius undefined"):
+            lemma1_localize(k, XiParam(-1), Poly([1]), A0, Fraction(1, 10))
     with pytest.raises(ValueError):
         lemma1_localize(2, XiParam(1), Poly([0, 1]), A0, Fraction(1, 10))
     with pytest.raises(ValueError):

@@ -68,6 +68,8 @@ def test_construction_normalizes_trailing_zeros():
     assert Poly([0, 0]).is_zero
     assert Poly([]).is_zero
     assert not Poly([0, 1]).is_zero
+    assert not Poly()  # __bool__
+    assert Poly([0, 1])
 
 
 def test_degree_and_leading():
@@ -172,6 +174,7 @@ def test_str():
     assert str(Poly([10, -8, 1])) == "x^2 - 8*x + 10"
     assert str(Poly()) == "0"
     assert str(Poly([Fraction(1, 2)])) == "1/2"
+    assert str(Poly([1, 0, 1])) == "x^2 + 1"
 
 
 def test_poly_literal_roundtrip():
@@ -210,9 +213,17 @@ def test_parse_literal_errors():
         '{"roots":[["1",true]]}',
         '{"roots":[["1",1]],"lead":true}',
         '{"roots":[["1",1]],"lead":-2.0}',
+        # Not an object, not lists, not a pair.
+        "[1]",
+        '{"coeffs":"1"}',
+        '{"roots":"1"}',
+        '{"roots":[["1",1,1]]}',
     ):
         with pytest.raises(ValueError):
             parse_poly_literal(bad)
+    # A 2 KB literal nested past the JSON decoder's recursion limit.
+    with pytest.raises(ValueError, match="nests too deeply"):
+        parse_poly_literal('{"coeffs":' + "[" * 1000 + "]" * 1000 + "}")
 
 
 def test_literal_degree_bound():

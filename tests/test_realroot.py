@@ -57,6 +57,10 @@ def test_count_on_intervals():
     assert count_real_roots(f, Fraction(3, 2), 2) == 0
     with pytest.raises(ValueError):
         count_real_roots(f, 2, 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_real_roots(Poly())
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_real_roots_open(Poly(), 0, 1)
 
 
 def test_count_half_open_convention():
@@ -164,6 +168,8 @@ def test_isolate_constant_and_rootless():
         isolate_roots(Poly([3]))
     with pytest.raises(ValueError):
         isolate_roots(Poly())
+    with pytest.raises(ValueError, match="width must be positive"):
+        isolate_roots(Poly([-2, 0, 1]), 0)
 
 
 def test_certify_pins():
@@ -238,6 +244,8 @@ def test_largest_root_enclosure():
 
     with pytest.raises(ValueError):
         largest_root_enclosure(Poly([2, 0, 1]))
+    with pytest.raises(ValueError, match="nonconstant"):
+        largest_root_enclosure(Poly([3]))
 
 
 # Exact enclosures at the default width, for the inputs above and for the
