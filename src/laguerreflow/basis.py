@@ -66,13 +66,18 @@ def _monic_laguerre_ints(n: int, a: int, b: int) -> list[int]:
     return out[::-1]
 
 
+def _laguerre_den(n: int, ints: list[int]) -> int:
+    """(-1)^n n! b^n: laguerre(n, a/b) is ints / this, ints = _monic_laguerre_ints(n, a, b)."""
+    return (-1) ** n * math.factorial(n) * ints[-1]  # ints[-1] is b^n
+
+
 def laguerre(n: int, alpha: AlphaParam) -> Poly:
     """Associated Laguerre polynomial of degree n with exact coefficients.
 
     L_n(x) = sum_{i=0}^{n} (-1)^i * C(n+alpha, n-i) * x^i / i!
     """
     ints = _monic_laguerre_ints(n, *alpha.value.as_integer_ratio())
-    den = (-1) ** n * math.factorial(n) * ints[-1]  # ints[-1] is b^n
+    den = _laguerre_den(n, ints)
     return Poly([Fraction(c, den) for c in ints])
 
 

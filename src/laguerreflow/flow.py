@@ -147,21 +147,20 @@ def lemma1_localize(
 
     The window is (xi - 2*r*eta, xi + 2*r*eta) with r the certified Hermite
     radius bound, so both endpoints stay rational; ``hermite_radius_bound``
-    refuses xi < 0 for every k. For k = 1 that radius is 0 and the literal
-    window is empty; a fallback radius of 1 is used instead and flagged, so the
-    degenerate case is surfaced rather than silently passed or failed.
+    refuses xi < 0 at every k, and at k = 1 that check is all the call is for:
+    the radius is 0 and the literal window empty, so a fallback radius of 1 is
+    used and flagged, surfacing the degenerate case instead of passing or failing.
     """
     _require_k_and_cofactor(k, p)
     step = to_rational(eta)
     if step <= 0:
         raise ValueError("eta must be positive (flow time is h = eta^2)")
-    xv = xi.value
-    if xv == 0:
+    if xi.value == 0:
         raise ValueError("xi must be nonzero (the origin case is the Laguerre-window lemma)")
     bound = hermite_radius_bound(k, xi)  # refuses xi < 0, at k = 1 too
     degenerate = k == 1
     radius = Fraction(1) if degenerate else bound
-    return _window_count(k, p, alpha, step * step, xv, radius, step, degenerate)
+    return _window_count(k, p, alpha, step * step, xi.value, radius, step, degenerate)
 
 
 def semigroup_check(f: Poly, alpha: AlphaParam, h1: RationalLike, h2: RationalLike) -> bool:

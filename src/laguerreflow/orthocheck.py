@@ -25,7 +25,7 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .basis import AlphaParam, XiParam, _hermite_ints, _monic_laguerre_ints
+from .basis import AlphaParam, XiParam, _hermite_ints, _laguerre_den, _monic_laguerre_ints
 
 
 def _laguerre_moments(top: int, a: int, b: int) -> list[int]:
@@ -85,8 +85,7 @@ def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], Fractio
     """
     a, b = alpha.value.as_integer_ratio()
     polys = [_monic_laguerre_ints(n, a, b) for n in range(top + 1)]
-    # The denominator of laguerre(n, alpha) over polys[n]; polys[n][-1] is b^n.
-    dens = [(-1) ** n * math.factorial(n) * p[-1] for n, p in enumerate(polys)]
+    dens = [_laguerre_den(n, p) for n, p in enumerate(polys)]
     return _table(polys, dens, _laguerre_moments(top, a, b), b ** (2 * top))
 
 

@@ -391,8 +391,9 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--poly", '{"roots":[["1",1000000000]]}')
     assert code == 2 and "degree bound of 1000" in err
 
-    # Past the JSON decoder's recursion limit: exit 2 with one error line.
-    deep = '{"coeffs":' + "[" * 1000 + "]" * 1000 + "}"
+    # Past the JSON decoder's recursion limit on every supported Python: exit 2
+    # with one error line.
+    deep = '{"coeffs":' + "[" * 100_000 + "]" * 100_000 + "}"
     code, out, err = run(capsys, "certify", "--poly", deep)
     assert (code, out, err) == (2, "", "error: polynomial literal nests too deeply\n")
 
