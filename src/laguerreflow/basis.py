@@ -8,11 +8,13 @@ over the rationals for any rational time h.
 The Laguerre and Hermite families and the basis-sum transform run over integer
 numerators with one common denominator (the transform takes its input's from
 ``Poly.numerators``), so each coefficient builds one Fraction. L is applied by
-its coefficient formula, written once in ``_lowered``. The flow builds one
-series f, Lf, ..., L^n f per polynomial as Fraction coefficient lists, sums it
-at each requested time into one list and builds one Poly per time. It never
-calls the basis kernel or a closed form of exp(-h*L) x^n, so it stays the
-transform's independent check.
+its coefficient formula, written once in ``_lowered``. The flow starts from the
+same numerators: with f = nums / d and alpha = a/b it builds one integer series
+G_j = d * b^j * L^j f per polynomial, sums it at each requested time by Horner
+over the levels, where each step's factor -h/(b*(j+1)) carries the 1/b^j and
+1/j!, and divides by d once, in the one Poly built per time. It never calls the
+basis kernel or a closed form of exp(-h*L) x^n, so it stays the transform's
+independent check.
 """
 
 from __future__ import annotations
@@ -108,10 +110,13 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
     return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is v^(k//2)
 
 
-def _lowered(coeffs: Sequence[Fraction], a: Fraction, count: int) -> list[Sequence[Fraction]]:
-    """coeffs and its first ``count`` images under L, which sends x^j to j*(j+a)*x^(j-1)."""
-    weights = [j * (j + a) for j in range(len(coeffs))]
-    series = [coeffs]
+def _lowered(nums: Sequence[int], a: int, b: int, count: int) -> list[Sequence[int]]:
+    """nums and its first ``count`` images under b*L, which sends x^j to j*(j*b + a)*x^(j-1).
+
+    For f = nums / d and alpha = a/b, level m is the integer list d * b^m * L^m f.
+    """
+    weights = [j * (j * b + a) for j in range(len(nums))]
+    series = [nums]
     for _ in range(count):
         prev = series[-1]
         series.append([weights[j] * prev[j] for j in range(1, len(prev))])
@@ -119,21 +124,28 @@ def _lowered(coeffs: Sequence[Fraction], a: Fraction, count: int) -> list[Sequen
 
 
 def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
-    """exp(-h*L) f for each h in ``times``, from one series f, Lf, ..., L^n f.
+    """exp(-h*L) f for each h in ``times``, from one integer series G_0, ..., G_n.
 
-    Each flow sums sum_j (-h)^j L^j f / j! into one coefficient list and
-    builds one Poly from it. h = 0 and the zero polynomial give f.
+    With f = nums / d and alpha = a/b, G_j = d * b^j * L^j f (``_lowered``), so
+    exp(-h*L) f = sum_j (-h/b)^j G_j / (j! d). Each time sums the levels by
+    Horner: Q_n = G_n and Q_j = G_j + (-h/(b*(j+1))) * Q_{j+1} on the first
+    n - j entries, G_j's top entry passed through, so every 1/b^j and 1/j! sits
+    in the step factors, and 1/d is applied once, in the one Poly built from
+    Q_0 / d. The zero polynomial's series is ``[[]]``.
     """
-    series = _lowered(f.coeffs, alpha.value, len(f.coeffs) - 1)
+    nums, d = f.numerators()
+    a, b = alpha.value.as_integer_ratio()
+    series = _lowered(nums, a, b, len(nums) - 1)
+    den = Fraction(d)  # Q_0 may hold ints, and int / int would be a float
     flows = []
     for step in map(to_rational, times):
-        acc = list(f.coeffs)
-        scale = Fraction(1)
-        for j in range(1, len(series)):
-            scale *= -step / j
-            for i, c in enumerate(series[j]):
-                acc[i] += scale * c
-        flows.append(Poly(acc))
+        acc = series[-1]
+        for j in range(len(series) - 2, -1, -1):
+            level = series[j]
+            factor = -step / (b * (j + 1))
+            acc = [factor * q + c for q, c in zip(acc, level)]
+            acc.append(level[-1])
+        flows.append(Poly([c / den for c in acc]))
     return tuple(flows)
 
 

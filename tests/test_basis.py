@@ -20,6 +20,7 @@ from laguerreflow import (
     laguerre,
     laguerre_transform,
     monic_laguerre,
+    parse_poly_literal,
     scaled_hermite,
 )
 from laguerreflow.cli import main
@@ -27,6 +28,8 @@ from reference import generalized_binomial, reference_heat_semigroup, reference_
 
 ALPHAS = [AlphaParam(0), AlphaParam(Fraction(1, 2)), AlphaParam(2), AlphaParam(Fraction(7, 3))]
 XIS = [XiParam(Fraction(1, 2)), XiParam(1), XiParam(3)]
+PINNED = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())
+DEGREE20_LITERAL = PINNED["report_sha256"]["transform_verify_degree20"]["argv"][-1]
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 polys = st.lists(rationals, max_size=6).map(Poly)
@@ -139,8 +142,14 @@ def test_scaled_hermite_is_gaussian_flow_of_monomial():
 
 
 def lowered(f: Poly, a: Fraction) -> Poly:
-    """L f, from the one place the rule x^j -> j*(j+a)*x^(j-1) is written."""
-    return Poly(basis._lowered(f.coeffs, a, 1)[1])
+    """L f, from the one place the rule x^j -> j*(j+a)*x^(j-1) is written.
+
+    ``_lowered`` applies b*L to f's numerators for a = num/b, so its first level
+    is d * b * L f.
+    """
+    nums, d = f.numerators()
+    num, b = a.as_integer_ratio()
+    return Poly([Fraction(c, d * b) for c in basis._lowered(nums, num, b, 1)[1]])
 
 
 def test_lambda_apply_monomials():
@@ -218,6 +227,17 @@ def test_lowering_matches_reference(f, a):
     [Fraction(-4), Fraction(0), Fraction(1, 12), Fraction(-4)],
 )
 @example(Poly([Fraction(i, 7) - 1 for i in range(21)]), Fraction(0), [Fraction(0), Fraction(0)])
+# Horner sums that may hold ints where Poly needs Fractions: degree 0, integer
+# times, and the transform_verify_degree20 pin's literal.
+@example(Poly([5]), Fraction(0), [Fraction(2), Fraction(0), Fraction(2)])
+@example(Poly([5]), Fraction(2), [Fraction(2), Fraction(0), Fraction(2)])
+@example(Poly([3, -2]), Fraction(0), [Fraction(2), Fraction(0), Fraction(2)])
+@example(Poly([3, -2]), Fraction(2), [Fraction(2), Fraction(0), Fraction(2)])
+@example(
+    parse_poly_literal(DEGREE20_LITERAL),
+    Fraction(12345, 9973),
+    [Fraction(1), Fraction(1, 2**61 - 1), Fraction(1)],
+)
 def test_heat_flows_match_reference(f, a, times):
     alpha = AlphaParam(a)
     flows = heat_flows(f, alpha, times)
@@ -290,9 +310,6 @@ def test_transform_matches_basis_sum_reference():
                     a * (-1) ** i * factorial(i)
                 )
             assert laguerre_transform(f, alpha) == expected
-
-
-PINNED = json.loads(Path(__file__).with_name("basis_pinned.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED["transform"]))

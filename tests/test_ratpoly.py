@@ -306,6 +306,21 @@ def test_primitive_is_integral_and_coprime(f):
     assert Poly(Fraction(n, d) for n in nums) == f
 
 
+@given(st.one_of(polys, st.lists(wide_rationals, max_size=7).map(Poly)))
+@example(Poly())
+@example(Poly([Fraction(1, 2**61 - 1), 0, Fraction(-5, 6), Fraction(7, 4)]))
+def test_numerators_round_trip(f):
+    # The basis sum and the heat flow both start from this view, so the two paths
+    # of the transform cannot catch a fault in it.
+    nums, d = f.numerators()
+    assert all(type(c) is int for c in nums) and type(d) is int
+    assert d == math.lcm(*(c.denominator for c in f.coeffs))
+    assert Poly([Fraction(c, d) for c in nums]) == f
+    assert len(nums) == len(f.coeffs)
+    if f.is_zero:
+        assert (nums, d) == ([], 1)
+
+
 @settings(max_examples=50)
 @given(nonzero_polys)
 def test_square_free_divides_and_is_square_free(f):
