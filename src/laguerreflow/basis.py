@@ -173,8 +173,6 @@ def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly
     nums, d = f.numerators()
     acc = [0] * (n + 1)
     for i, num in enumerate(nums):
-        if num == 0:
-            continue
         scale = num * b ** (n - i)
         for j, term in enumerate(_monic_laguerre_ints(i, a, b)):
             acc[j] += scale * term

@@ -164,12 +164,8 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", RationalLike]) -> "Poly":
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
@@ -197,7 +193,7 @@ class Poly:
         h_j with f(x + c) = sum h_j x^j / (d * v^(n-j)).
         """
         offset = to_rational(c)
-        if offset == 0 or not self.coeffs:
+        if offset == 0:
             return self
         u, v = offset.as_integer_ratio()
         nums, d = self.numerators()

@@ -17,20 +17,24 @@ convention: count_real_roots(f, lo, hi) counts distinct roots in (lo, hi].
 Isolation returns the cells that bisection of (-M, M], M = p/q the strict
 Cauchy bound of g, ends in: Sturm counts split an interval while it holds two
 or more roots, the variation counts at both ends riding along, and the sign of
-g then narrows a one-root interval down to the width. A midpoint on a root is
-nudged off it; every interval no nudge has moved lies on the dyadic grid of
-its depth, so the width test first passes at one depth for all of them.
+g then narrows a one-root interval down to the width. A midpoint on a root
+moves up by a quarter of the interval's width, then an eighth, and so on,
+until g is nonzero there; every interval no nudge has moved lies on the dyadic
+grid of its depth, so the width test first passes at one depth for all of
+them.
 
 One float pass proposes every root: Laguerre's method with deflation, then
-Newton steps on g. A proposal names a cell of that final grid, and two exact
-signs confirm it: g nonzero at its edges, with opposite signs. If an
-interval's Sturm count equals the number n of confirmed cells inside it, each
-cell holds exactly one root and no other root lies in the interval, so no grid
-point down to the final depth is a root, nothing is nudged, and bisection ends
-in those cells: isolation returns them at once. Every other interval, one
-where a proposal is missing or failed or one below a nudge, takes the Sturm
-split and the bisection by sign. The chain's count stays the oracle: more
-confirmed cells than it raises ArithmeticError.
+Newton steps, on g's monic image, whose float coefficients stay finite while
+g's integers pass float range. A proposal names a cell of that final grid, and
+two exact signs confirm it: g nonzero at its edges, with opposite signs; a
+cell outside (-M, M] holds no root and never confirms. If an interval's Sturm
+count equals the number n of confirmed cells inside it, each cell holds
+exactly one root and no other root lies in the interval, so no grid point down
+to the final depth is a root, nothing is nudged, and bisection ends in those
+cells: isolation returns them at once. Every other interval, one where a
+proposal is missing or failed or one below a nudge, takes the Sturm split and
+the bisection by sign. The chain's count stays the oracle: more confirmed
+cells than it raises ArithmeticError.
 
 A midpoint past an exact root bound (Kioustelidis, rounded up to a power of
 two by integer shifts) needs no evaluation at all: no root lies at or beyond
@@ -174,9 +178,14 @@ def _variations(signs: list[int]) -> int:
 
 
 def _proposals(g: Ints, start: int, q: int, cell: int, depth: int) -> list[float]:
-    """Finite _float_roots of g from start/q, tolerance cell/(q*2^depth); none on overflow."""
+    """Finite _float_roots of g's monic image from start/q, tolerance cell/(q*2^depth).
+
+    Each c / lead is a correctly rounded int division, so large integers
+    whose roots are of ordinary size still propose; g's own Horner sums reach
+    lead * M^deg and overflow. A ratio past float range proposes nothing.
+    """
     try:
-        desc = [float(c) for c in reversed(g)]
+        desc = [c / g[-1] for c in reversed(g)]
         roots = _float_roots(desc, start / q, cell / (q << depth))
     except OverflowError:
         return []
@@ -351,8 +360,6 @@ class _RootContext:
         (a/(q*2^s), b/(q*2^s)]. The midpoints, and their nudges off exact
         roots, are those of rational bisection from (-M, M].
         """
-        if self.distinct == 0:
-            return ()
         # A node no nudge has moved is (a, a + 2p] on the grid of its scale, so
         # the width test passes first at one depth d_end for all of them.
         p, q, d_end = _grid(_cauchy_bound(self.g), 2, width)
@@ -363,19 +370,11 @@ class _RootContext:
         def split(a: int, b: int, s: int) -> tuple[int, int, int, int, int]:
             """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
             a, b, s = 2 * a, 2 * b, s + 1
-            m = (a + b) // 2
-            sg = _sign_at_dyadic(g, m, s)
-            if sg == 0:
-                # A midpoint on a root moves up by a quarter of the width, then
-                # an eighth, and so on, until g is nonzero there.
-                step = (b - a) // 2
-                a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
-                while True:
-                    m += step
-                    sg = _sign_at_dyadic(g, m, s)
-                    if sg:
-                        break
-                    a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
+            m, step = (a + b) // 2, (b - a) // 2
+            # A midpoint on a root moves up by a quarter of the width, then an
+            # eighth, and so on, until g is nonzero there.
+            while not (sg := _sign_at_dyadic(g, m, s)):
+                a, b, m, s = 2 * a, 2 * b, 2 * m + step, s + 1
             return a, b, m, s, sg
 
         # No root of g lies at or beyond pos, or at or below -neg.
@@ -390,10 +389,9 @@ class _RootContext:
         confirmed = []
         for k in sorted(cells):
             lo = (-p << d_end) + 2 * p * k
-            if 0 <= k < 1 << d_end:
-                left = _sign_at_dyadic(g, lo, d_end)
-                if left and _sign_at_dyadic(g, lo + 2 * p, d_end) == -left:
-                    confirmed.append(k)
+            left = _sign_at_dyadic(g, lo, d_end)
+            if left and _sign_at_dyadic(g, lo + 2 * p, d_end) == -left:
+                confirmed.append(k)
 
         def held(a: int, b: int, s: int) -> tuple[int, int]:
             """(first index, count) of the confirmed cells inside (a, b] at scale s."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from laguerreflow import (
     DEFAULT_WIDTH,
+    AlphaParam,
     Poly,
     laguerre_transform,
     random_alpha,
@@ -186,7 +187,32 @@ def test_partial_proposals(monkeypatch):
     assert dropped
 
 
+def test_proposals_outside_the_cauchy_interval(monkeypatch):
+    # Proposals just and far outside (-M, M]: no root lies there, so their
+    # cells never confirm.
+    float_roots = realroot._float_roots
+
+    def beyond(desc, x, tol):
+        far = [-1e6 * m, -2 * m, -m - tol / 2, m, m + tol / 2, 2 * m, 1e6 * m]
+        return float_roots(desc, x, tol) + far
+
+    monkeypatch.setattr(realroot, "_float_roots", beyond)
+    for f in theorem_images(9, 40):
+        m = float(realroot._cauchy_bound(_RootContext(f).g))
+        assert_same_cells(f)
+
+
 def test_confirmed_cells_skip_the_chain(monkeypatch):
+    # At alpha = 1/10^16 and 1/10^30 the images' integers pass float range
+    # while their roots stay of ordinary size.
+    tiny_alpha = [
+        laguerre_transform(
+            Poly.from_roots([(Fraction(i, 3), 1) for i in range(1, n + 1)]), AlphaParam(alpha)
+        )
+        for n, alpha in ((20, Fraction(1, 10**16)), (12, Fraction(1, 10**30)))
+    ]
+    for f in tiny_alpha:
+        assert_same_cells(f, (DEFAULT_WIDTH,))
     # Every other chain element has a lower degree than g.
     degrees = []
     sign_at_dyadic = realroot._sign_at_dyadic
@@ -196,7 +222,7 @@ def test_confirmed_cells_skip_the_chain(monkeypatch):
         return sign_at_dyadic(ints, num, shift)
 
     monkeypatch.setattr(realroot, "_sign_at_dyadic", recording)
-    for f in theorem_images(6, 100):
+    for f in theorem_images(6, 100) + tiny_alpha:
         ctx = _RootContext(f)
         degrees.clear()
         ctx.isolate(DEFAULT_WIDTH)
