@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -27,13 +28,22 @@ LITERAL_DIGITS = 4300
 # Highest degree a polynomial literal, or a randomized batch, may have.
 LITERAL_DEGREE = 1000
 
+# The grammar of a rational literal is the package's, not the interpreter's:
+# Fraction reads "1_000" from Python 3.11 and "2 / 3" from 3.12. Groups: the
+# digits of p/q, or of a decimal's integer part, fraction and exponent.
+_RATIONAL = re.compile(r"[-+]?(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE][-+]?(\d+))?)")
+
 
 def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, "p/q" / decimal / integer string, or Fraction to a Fraction.
 
     Floats are rejected: they would silently smuggle rounding error into a
-    kernel whose whole point is exactness. Strings are held to the literal
-    bound before they are parsed.
+    kernel whose whole point is exactness. A string, stripped, must match
+    ``_RATIONAL`` and have at most LITERAL_DIGITS digits, and its exponent,
+    without leading zeros, at most 4 digits and magnitude LITERAL_DIGITS.
+    Lengths are read before any ``int()``, so the bound holds whatever the
+    interpreter's int-to-str limit is; without it "1e1000000000" would make
+    ``Fraction`` compute 10**1000000000.
     """
     if isinstance(value, float):
         raise TypeError("floating-point values are not accepted; pass a Fraction or 'p/q' string")
@@ -41,31 +51,21 @@ def to_rational(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        _check_literal_size(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational literal {value!r}") from exc
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def _check_literal_size(text: str) -> None:
-    """Refuse a literal with more than LITERAL_DIGITS digits or an exponent above it.
-
-    It counts characters, so it holds whatever the interpreter's int-to-str
-    limit is set to; without it "1e1000000000" would make
-    ``Fraction`` compute 10**1000000000.
-    """
-    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    if sum(ch.isdecimal() for ch in text) > LITERAL_DIGITS or (
-        exponent.isdecimal()
-        and (len(exponent) > len(str(LITERAL_DIGITS)) or int(exponent) > LITERAL_DIGITS)
-    ):
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+    match = _RATIONAL.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"malformed rational literal {value!r}")
+    digits, exponent = sum(map(len, match.groups(""))), (match[5] or "").lstrip("0")
+    if digits > LITERAL_DIGITS or len(exponent) > 4 or int(exponent or 0) > LITERAL_DIGITS:
         raise ValueError(
             f"rational literal exceeds the bound of {LITERAL_DIGITS} digits"
             f" and exponent magnitude {LITERAL_DIGITS}"
         )
+    try:
+        return Fraction(match[0])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational literal {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,8 @@ class Poly:
 # Two accepted shapes, used by the CLI and test fixtures:
 #   {"coeffs": ["a0", "a1", ...]}            ascending degree, rationals as strings
 #   {"roots": [["r1", m1], ...], "lead": "c"} meaning c * prod (x - r_i)^{m_i}
+# The first key present names the form, and any key its form does not read is refused.
+_FORM_KEYS = {"coeffs": ("coeffs",), "roots": ("roots", "lead")}
 
 
 def _literal_rational(value: object, what: str) -> Fraction:
@@ -245,11 +247,6 @@ def _literal_rational(value: object, what: str) -> Fraction:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def _bounded_int(text: str) -> int:
-    _check_literal_size(text)
-    return int(text)
-
-
 def _check_literal_degree(degree: int) -> None:
     if degree > LITERAL_DEGREE:
         raise ValueError(f"polynomial literal exceeds the degree bound of {LITERAL_DEGREE}")
@@ -259,7 +256,8 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
     """Parse a polynomial literal given as a JSON string or decoded object."""
     if isinstance(literal, str):
         try:
-            obj = json.loads(literal, parse_int=_bounded_int)
+            # A JSON integer (a multiplicity) obeys the rational literal bound.
+            obj = json.loads(literal, parse_int=lambda text: int(to_rational(text)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"polynomial literal is not valid JSON: {exc}") from exc
         except RecursionError as exc:
@@ -268,30 +266,32 @@ def parse_poly_literal(literal: Union[str, dict]) -> Poly:
         obj = literal
     if not isinstance(obj, dict):
         raise ValueError("polynomial literal must be a JSON object")
-    if "coeffs" in obj and "roots" in obj:
-        raise ValueError("polynomial literal must use either 'coeffs' or 'roots', not both")
-    if "coeffs" in obj:
+    form = next((key for key in _FORM_KEYS if key in obj), None)
+    if form is None:
+        raise ValueError("polynomial literal needs a 'coeffs' or 'roots' key")
+    unread = [key for key in obj if key not in _FORM_KEYS[form]]
+    if unread:
+        raise ValueError(f"polynomial literal in {form!r} form does not read {unread}")
+    if form == "coeffs":
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, list):
             raise ValueError("'coeffs' must be a list of rational strings")
         _check_literal_degree(len(coeffs) - 1)
         return Poly([_literal_rational(c, "coefficient") for c in coeffs])
-    if "roots" in obj:
-        roots = obj["roots"]
-        if not isinstance(roots, list):
-            raise ValueError("'roots' must be a list of [root, multiplicity] pairs")
-        pairs = []
-        for entry in roots:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValueError("each root entry must be a [root, multiplicity] pair")
-            root, mult = entry
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                raise ValueError("root multiplicity must be a positive integer")
-            pairs.append((_literal_rational(root, "root"), mult))
-        _check_literal_degree(sum(mult for _, mult in pairs))
-        lead = _literal_rational(obj.get("lead", 1), "'lead'")
-        return Poly.from_roots(pairs, lead=lead)
-    raise ValueError("polynomial literal needs a 'coeffs' or 'roots' key")
+    roots = obj["roots"]
+    if not isinstance(roots, list):
+        raise ValueError("'roots' must be a list of [root, multiplicity] pairs")
+    pairs = []
+    for entry in roots:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ValueError("each root entry must be a [root, multiplicity] pair")
+        root, mult = entry
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise ValueError("root multiplicity must be a positive integer")
+        pairs.append((_literal_rational(root, "root"), mult))
+    _check_literal_degree(sum(mult for _, mult in pairs))
+    lead = _literal_rational(obj.get("lead", 1), "'lead'")
+    return Poly.from_roots(pairs, lead=lead)
 
 
 def poly_literal(f: Poly) -> dict:

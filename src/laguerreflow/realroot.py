@@ -466,12 +466,11 @@ class _RootContext:
         lo, hi = 0, 1 << depth
         # k is the grid point at or below a float near max |root|, so the root lies
         # in cell k (from k to k + 1) or, past an edge, in cell k - 1: a count at
-        # k and one at the neighbour on the root's side close the bracket.
-        k = -1
-        magnitudes = [abs(r) for r in _proposals(self.g, -p, q, p, depth)]
-        if magnitudes:
-            num, den = max(magnitudes).as_integer_ratio()
-            k = (num * q << depth) // (p * den)
+        # k and one at the neighbour on the root's side close the bracket. With no
+        # proposal, k = 0 lies at or below every |root|.
+        top = max((abs(r) for r in _proposals(self.g, -p, q, p, depth)), default=0.0)
+        num, den = top.as_integer_ratio()
+        k = (num * q << depth) // (p * den)
         for i in (k, k - 1, k + 1):
             if lo < i < hi:
                 lo, hi = (lo, i) if all_inside(i) else (i, hi)

@@ -391,6 +391,10 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--poly", '{"roots":[["1",1000000000]]}')
     assert code == 2 and "degree bound of 1000" in err
 
+    # A key the literal's form does not read is named, not dropped.
+    code, _, err = run(capsys, "transform", "--poly", '{"roots":[["2",1]],"Lead":"5"}')
+    assert (code, err) == (2, "error: polynomial literal in 'roots' form does not read ['Lead']\n")
+
     # Past the JSON decoder's recursion limit on every supported Python: exit 2
     # with one error line.
     deep = '{"coeffs":' + "[" * 100_000 + "]" * 100_000 + "}"

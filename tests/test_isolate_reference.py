@@ -239,3 +239,36 @@ def test_more_confirmed_cells_than_the_count_raises():
     ctx.distinct -= 1
     with pytest.raises(ArithmeticError):
         ctx.isolate(DEFAULT_WIDTH)
+
+
+# Standard families of the real-root literature (Rouillier & Zimmermann 2004),
+# checked against plain bisection and sympy. They guard the paths that float
+# proposals are to take over from the Sturm chain: chain-free certify,
+# multiprecision proposals and one root engine without the Sturm split.
+def wilkinson(roots) -> Poly:
+    return Poly.from_roots([(r, 1) for r in roots])
+
+
+def mignotte(n: int, a: int) -> Poly:
+    """x^n - 2(a*x - 1)^2: two roots closer than 2*a^(-(n+2)/2)."""
+    return Poly([-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1])
+
+
+@pytest.mark.parametrize(
+    "f, distinct",
+    [
+        (wilkinson(range(1, 21)), 20),
+        # Roots on the dyadic grid, 0 among them: midpoints land on roots.
+        (wilkinson(Fraction(i, 3) for i in range(-10, 11)), 21),
+        (mignotte(12, 2**10), 4),
+        (mignotte(13, 2**10), 3),
+        (mignotte(24, 2**20), 4),
+    ],
+)
+def test_wilkinson_and_mignotte(f, distinct):
+    assert_same_cells(f)
+    assert _RootContext(f).distinct == distinct
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+    assert p.count_roots() == distinct

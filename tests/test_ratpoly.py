@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,12 +37,58 @@ def test_to_rational_coercion():
 
 def test_literal_size_bound():
     too_long = "1" * 4301
-    for text in ("1e4301", "1e-4301", "1E+0004301", "1_0e4_301", too_long, "1/" + too_long[1:]):
+    for text in ("1e4301", "1e-4301", "1E+0004301", too_long, "1/" + too_long[1:]):
         with pytest.raises(ValueError, match="bound of 4300 digits"):
             to_rational(text)
     assert to_rational("1e4300") == 10**4300
     assert to_rational("-25e-4300") == Fraction(-25, 10**4300)
     assert to_rational("1" * 4299 + "/7") == Fraction(int("1" * 4299), 7)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3/4", Fraction(3, 4)),
+        ("-2", Fraction(-2)),
+        ("0.5", Fraction(1, 2)),
+        ("+3", Fraction(3)),
+        (" 3/4 ", Fraction(3, 4)),
+        (".5", Fraction(1, 2)),
+        ("5.", Fraction(5)),
+        ("1e5", Fraction(10**5)),
+        ("+.5E-3", Fraction(1, 2000)),
+        ("-25e-4300", Fraction(-25, 10**4300)),
+        ("1E+0004300", Fraction(10**4300)),
+        ("\u0661\u0662", Fraction(12)),  # Unicode decimal digits
+        ("\u0661e\u0662", Fraction(100)),
+        # Fraction reads "_" from Python 3.11 and inner spaces from 3.12;
+        # the package refuses both on every version.
+        ("1_000", None),
+        ("1_0/3", None),
+        ("1.2_5", None),
+        ("1e1_0", None),
+        ("1_0e4_301", None),
+        ("2 / 3", None),
+        ("2/ 3", None),
+        ("1 2", None),
+        ("1/0", None),
+        ("1/-2", None),
+        ("1.5/2", None),
+        (".", None),
+        ("", None),
+        ("e5", None),
+        ("1e", None),
+        ("0x10", None),
+        ("inf", None),
+        ("nan", None),
+    ],
+)
+def test_rational_grammar(text, value):
+    if value is None:
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            to_rational(text)
+    else:
+        assert to_rational(text) == value
 
 
 def test_huge_exponent_is_refused_without_computing_it():
@@ -225,6 +272,22 @@ def test_parse_literal_errors():
     # (3.11 decodes at most 994 levels, 3.13 at most 9,998).
     with pytest.raises(ValueError, match="nests too deeply"):
         parse_poly_literal('{"coeffs":' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+def test_each_form_reads_only_its_keys():
+    for literal, form, unread in (
+        ('{"roots":[["2",1]],"Lead":"5"}', "roots", "['Lead']"),
+        ('{"coeffs":["1","1"],"lead":"5"}', "coeffs", "['lead']"),
+        ('{"coeffs":["1"],"roots":[["1",1]]}', "coeffs", "['roots']"),
+        ('{"roots":[["1",1]],"coeffs":["1"]}', "coeffs", "['roots']"),
+        ('{"coefs":["1"],"coeffs":["1"]}', "coeffs", "['coefs']"),
+        ('{"roots":[["1",1]],"lead":"2","root":[]}', "roots", "['root']"),
+    ):
+        message = f"polynomial literal in '{form}' form does not read {unread}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly_literal(literal)
+    with pytest.raises(ValueError, match="needs a 'coeffs' or 'roots' key"):
+        parse_poly_literal('{"lead":"1"}')
 
 
 def test_literal_degree_bound():
