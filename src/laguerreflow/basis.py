@@ -11,8 +11,9 @@ numerators with one common denominator (the transform takes its input's from
 its coefficient formula, written once in ``_lowered``. The flow starts from the
 same numerators: with f = nums / d and alpha = a/b it builds one integer series
 G_j = d * b^j * L^j f per polynomial, sums it at each requested time by Horner
-over the levels, where each step's factor -h/(b*(j+1)) carries the 1/b^j and
-1/j!, and divides by d once, in the one Poly built per time. It never calls the
+over the levels (``_flow_sum``), where each step's factor -h/(b*(j+1)) carries
+the 1/b^j and 1/j!, and divides by d once, in the one Poly built per time; the
+lemma windows take that sum as it is and build no Poly. It never calls the
 basis kernel or a closed form of exp(-h*L) x^n, so it stays the transform's
 independent check.
 """
@@ -137,16 +138,24 @@ def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tup
     a, b = alpha.value.as_integer_ratio()
     series = _lowered(nums, a, b, len(nums) - 1)
     den = Fraction(d)  # Q_0 may hold ints, and int / int would be a float
-    flows = []
-    for step in map(to_rational, times):
-        acc = series[-1]
-        for j in range(len(series) - 2, -1, -1):
-            level = series[j]
-            factor = -step / (b * (j + 1))
-            acc = [factor * q + c for q, c in zip(acc, level)]
-            acc.append(level[-1])
-        flows.append(Poly([c / den for c in acc]))
-    return tuple(flows)
+    return tuple(
+        Poly([c / den for c in _flow_sum(series, b, step)]) for step in map(to_rational, times)
+    )
+
+
+def _flow_sum(series: list[Sequence[int]], b: int, step: Fraction) -> list:
+    """Q_0 = d * exp(-step*L) f, from the ``_lowered`` series of f = nums / d at alpha = a/b.
+
+    Q_0 holds Fractions and ints (its top entry, and every entry when f is
+    constant, stays an int).
+    """
+    acc = series[-1]
+    for j in range(len(series) - 2, -1, -1):
+        level = series[j]
+        factor = -step / (b * (j + 1))
+        acc = [factor * q + c for q, c in zip(acc, level)]
+        acc.append(level[-1])
+    return acc
 
 
 def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:

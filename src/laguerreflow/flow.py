@@ -5,14 +5,18 @@ rational, the square-root scaling of the first localization lemma is handled
 by parametrizing h = eta^2, and window radii are certified rational upper
 enclosures of the relevant extreme roots, so every window-membership count
 is an exact Sturm count rather than a floating-point judgment. Both lemmas
-flow (x^k * p)(x - centre), built by padding p's coefficients and one integer
-Taylor shift, with centre 0 for the Laguerre window and xi for the Hermite
-window; the window centre -/+ 2*radius*scale takes one open-interval count,
-where g's sign at the right end serves both the count and the open end.
+flow (x^k * p)(x - centre), with centre 0 for the Laguerre window and xi for
+the Hermite window, and the window centre -/+ 2*radius*scale takes one
+open-interval count, where g's sign at the right end serves both the count
+and the open end. A window runs on integers end to end and builds no Poly:
+p's numerators are padded by k zeros and Taylor-shifted (``ratpoly``), flowed
+(``basis``), and the flowed integers counted (``realroot``), by the same
+kernels that ``Poly.shift``, ``heat_flows`` and the root counts wrap.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,18 +26,20 @@ from typing import Sequence
 from .basis import (
     AlphaParam,
     XiParam,
+    _flow_sum,
+    _lowered,
     heat_flows,
     heat_semigroup,
     laguerre,
     laguerre_transform,
     scaled_hermite,
 )
-from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, _taylor_shift, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
+    _RootContext,
     certify,
-    count_real_roots_open,
     largest_root_enclosure,
 )
 
@@ -117,12 +123,25 @@ def _window_count(
     scale: Fraction,
     degenerate: bool,
 ) -> LocalizationReport:
-    """Flow (x^k * p)(x - centre) for ``time``; k or more roots in centre -/+ 2*radius*scale pass."""
-    f = Poly((0,) * k + p.coeffs).shift(-centre)
-    flowed = heat_semigroup(f, alpha, time)
+    """Flow (x^k * p)(x - centre) for ``time``; k or more roots in centre -/+ 2*radius*scale pass.
+
+    Integers all the way: p's numerators, padded by k zeros, over d; for
+    centre u/v, Taylor-shifted by -u/v to N_j = h_j * v^j over the one
+    denominator d * v^n. The flow sum of N is Q_0 = d * v^n * the flow, and
+    Q_0 times the lcm of its denominators is the integer multiple the count
+    is taken on.
+    """
+    nums = [0] * k + p.numerators()[0]
+    if centre:
+        u, v = (-centre).as_integer_ratio()
+        nums = [h * v**j for j, h in enumerate(_taylor_shift(nums, u, v))]
+    a, b = alpha.value.as_integer_ratio()
+    flowed = _flow_sum(_lowered(nums, a, b, len(nums) - 1), b, time)
+    scale_to_ints = math.lcm(*(c.denominator for c in flowed))
+    ints = [c.numerator * (scale_to_ints // c.denominator) for c in flowed]
     half = 2 * radius * scale
     lo, hi = centre - half, centre + half
-    count = count_real_roots_open(flowed, lo, hi)
+    count = _RootContext(ints).count_open(lo, hi)
     return LocalizationReport(k, lo, hi, count, count >= k, radius, degenerate)
 
 

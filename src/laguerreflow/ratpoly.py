@@ -9,7 +9,8 @@ identity tests are fully reliable.
 the one integer view that the kernels in ``basis`` and ``realroot`` start from.
 ``from_roots`` and ``shift`` work on integer coefficient lists, not on Poly
 products: ``shift`` by u/v is an integer Taylor shift by u of the numerators
-scaled by powers of v, and builds one Fraction per coefficient.
+scaled by powers of v (``_taylor_shift``, which the lemma windows call
+directly), and builds one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -43,7 +45,8 @@ def to_rational(value: RationalLike) -> Fraction:
     without leading zeros, at most 4 digits and magnitude LITERAL_DIGITS.
     Lengths are read before any ``int()``, so the bound holds whatever the
     interpreter's int-to-str limit is; without it "1e1000000000" would make
-    ``Fraction`` compute 10**1000000000.
+    ``Fraction`` compute 10**1000000000. A group longer than a limit set
+    below the bound is refused by a message naming that limit.
     """
     if isinstance(value, float):
         raise TypeError("floating-point values are not accepted; pass a Fraction or 'p/q' string")
@@ -61,6 +64,13 @@ def to_rational(value: RationalLike) -> Fraction:
         raise ValueError(
             f"rational literal exceeds the bound of {LITERAL_DIGITS} digits"
             f" and exponent magnitude {LITERAL_DIGITS}"
+        )
+    # Fraction reads each group by int(), which refuses more digits than the limit.
+    limit, longest = sys.get_int_max_str_digits(), max(map(len, match.groups("")))
+    if limit and longest > limit:
+        raise ValueError(
+            f"rational literal holds a {longest}-digit integer, past the interpreter's"
+            f" int-to-str limit of {limit} digits (sys.set_int_max_str_digits)"
         )
     try:
         return Fraction(match[0])
@@ -188,9 +198,8 @@ class Poly:
     def shift(self, c: RationalLike) -> "Poly":
         """Compose with x -> x + c, i.e. return f(x + c).
 
-        With f = sum N_i x^i / d and c = u/v, the integers G_i = N_i v^(n-i)
-        give G(v*x) = d * v^n * f(x), so shifting G by the integer u yields
-        h_j with f(x + c) = sum h_j x^j / (d * v^(n-j)).
+        With f = sum N_i x^i / d and c = u/v, ``_taylor_shift`` gives h_j
+        with f(x + c) = sum h_j x^j / (d * v^(n-j)).
         """
         offset = to_rational(c)
         if offset == 0:
@@ -198,12 +207,8 @@ class Poly:
         u, v = offset.as_integer_ratio()
         nums, d = self.numerators()
         n = len(nums) - 1
-        cs = [num * v ** (n - i) for i, num in enumerate(nums)]
-        # Taylor shift by u: pass i leaves the coefficient of y^i final.
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                cs[j] += u * cs[j + 1]
-        return Poly([Fraction(h, d * v ** (n - j)) for j, h in enumerate(cs)])
+        shifted = _taylor_shift(nums, u, v)
+        return Poly([Fraction(h, d * v ** (n - j)) for j, h in enumerate(shifted)])
 
     # -- display --------------------------------------------------------
 
@@ -226,6 +231,21 @@ class Poly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _taylor_shift(nums: Sequence[int], u: int, v: int) -> list[int]:
+    """h with sum nums[i] (x + u/v)^i = sum h_j x^j / v^(n-j), for v > 0 and n = len(nums) - 1.
+
+    The integers G_i = nums[i] v^(n-i) give G(v*x) = v^n * sum nums[i] x^i,
+    so shifting G by the integer u yields h.
+    """
+    n = len(nums) - 1
+    cs = [num * v ** (n - i) for i, num in enumerate(nums)]
+    # Taylor shift by u: pass i leaves the coefficient of y^i final.
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += u * cs[j + 1]
+    return cs
 
 
 # -- JSON polynomial literals ------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact real-root counting, certification, and isolation via Sturm chains.
 
-Every query on a polynomial f goes through one prepared root context. It runs
-one signed primitive pseudo-remainder sequence over the integers on (f, f'):
+Every query on a polynomial f goes through one prepared root context, built
+from the integers of any nonzero multiple of f (the public functions pass a
+Poly's numerators, the lemma windows their flowed integers). It runs one
+signed primitive pseudo-remainder sequence over the integers on (f, f'):
 each step scales the dividend by a power of |lc| of the divisor (positive,
 where lc^k can be negative), takes the remainder, negates it and divides out
 its integer content, so each element has the evaluation signs of the signed
@@ -205,7 +207,7 @@ def _scaled(e: Ints, q: int) -> Ints:
     return tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e))
 
 
-def _primitive(coeffs: list[int]) -> Ints:
+def _primitive(coeffs: Sequence[int]) -> Ints:
     """Divide out the (positive) content; signs are unchanged."""
     content = math.gcd(*coeffs)
     return tuple(c // content for c in coeffs)
@@ -290,13 +292,13 @@ def count_real_roots(
     result and endpoints that happen to be multiple roots stay well-defined.
     """
     lo_q, hi_q = _validated_bounds(lo, hi)
-    return _RootContext(f).count(lo_q, hi_q)
+    return _RootContext(f.numerators()[0]).count(lo_q, hi_q)
 
 
 def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     """Distinct real roots in the open interval (lo, hi), finite endpoints."""
     lo_q, hi_q = _validated_bounds(lo, hi)
-    return _RootContext(f).count_open(lo_q, hi_q)
+    return _RootContext(f.numerators()[0]).count_open(lo_q, hi_q)
 
 
 def _cauchy_bound(ints: Sequence[int]) -> Fraction:
@@ -320,14 +322,16 @@ class IsolatingInterval:
 class _RootContext:
     """The square-free part g of a nonzero f and g's Sturm chain, from one integer run.
 
-    ``f`` and ``chain[0]`` = g are coprime integers with a positive leading
+    f is given by the integers of any nonzero multiple of it, ascending with
+    no trailing zeros, such as ``Poly.numerators()[0]``. ``f`` and
+    ``chain[0]`` = g are coprime integers with a positive leading
     coefficient, so g is a positive multiple of the monic square-free part of f.
     """
 
-    def __init__(self, f: Poly):
-        if f.is_zero:
+    def __init__(self, ints: Sequence[int]):
+        if not ints:
             raise ValueError("root counting on the zero polynomial is undefined")
-        self.f = _positive_lead(_primitive(f.numerators()[0]))
+        self.f = _positive_lead(_primitive(ints))
         seq = _sturm_sequence(self.f)
         if len(seq[-1]) > 1:
             # A repeated root: each element over d = gcd(f, f') gives g's chain.
@@ -491,7 +495,7 @@ def isolate_roots(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> tuple[Isolati
     """Disjoint sorted intervals, one per distinct real root, each at most ``width`` wide."""
     if f.is_zero or f.degree() == 0:
         raise ValueError("root isolation needs a nonconstant polynomial")
-    return _RootContext(f).isolate(_validated_width(width, "isolation"))
+    return _RootContext(f.numerators()[0]).isolate(_validated_width(width, "isolation"))
 
 
 @dataclass(frozen=True)
@@ -515,7 +519,7 @@ def certify(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> RootCertificate:
     if f.is_zero or f.degree() == 0:
         raise ValueError("certification needs a nonconstant polynomial")
     w = _validated_width(width, "isolation")
-    ctx = _RootContext(f)
+    ctx = _RootContext(f.numerators()[0])
     g_degree = len(ctx.g) - 1
     return RootCertificate(
         degree=f.degree(),
@@ -539,4 +543,4 @@ def largest_root_enclosure(
     """
     if f.is_zero or f.degree() == 0:
         raise ValueError("largest-root enclosure needs a nonconstant polynomial")
-    return _RootContext(f).enclose(_validated_width(width, "enclosure"))
+    return _RootContext(f.numerators()[0]).enclose(_validated_width(width, "enclosure"))

@@ -8,8 +8,8 @@ integer forms, the orthogonality tables are the only inner-product API and
 reuse one moment row per polynomial instead of expanding a product per entry,
 and the heat flow sums one series per polynomial into coefficient lists. The
 tests check those kernels against the textbook rational operations below
-(single monomial moments, single inner products from an expanded product),
-which therefore live with the tests.
+(single monomial moments, single inner products from an expanded product, a
+Sturm count over the rationals), which therefore live with the tests.
 """
 
 from __future__ import annotations
@@ -96,12 +96,32 @@ def fraction_shift(f: Poly, c: Fraction) -> Poly:
     return Poly(cs)
 
 
+def reference_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of f in the open interval (lo, hi), lo < hi.
+
+    Sturm's theorem on the square-free part g over the rationals: the chain is
+    g, g', then minus each Euclidean remainder, and V(lo) - V(hi) counts the
+    roots in (lo, hi]; a root at hi is then taken off.
+    """
+    g = square_free(f)
+    chain = [g, derivative(g)]
+    while not chain[-1].is_zero:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    chain.pop()
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (e(x) for e in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi) - (g(hi) == 0)
+
+
 def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:
     """Enclosure [lo, hi] of max |root| by Fraction bisection of (0, M] on symmetric counts.
 
     f has a real root; ``g(-r) == 0`` is read as ``f(-r) == 0``, which has the same roots.
     """
-    ctx = _RootContext(f)
+    ctx = _RootContext(f.numerators()[0])
     total = ctx.distinct
 
     def inside(r: Fraction) -> int:

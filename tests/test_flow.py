@@ -3,11 +3,14 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from laguerreflow import (
+    DEFAULT_WIDTH,
     AlphaParam,
+    LocalizationReport,
     Poly,
     XiParam,
     certify,
@@ -16,6 +19,7 @@ from laguerreflow import (
     flow_trace,
     heat_semigroup,
     hermite_radius_bound,
+    laguerre,
     laguerre_radius_bound,
     laguerre_transform,
     lemma1_localize,
@@ -25,10 +29,16 @@ from laguerreflow import (
     random_rational,
     random_real_rooted,
     random_root_pairs,
+    scaled_hermite,
     semigroup_check,
     verify_theorem1,
 )
-from reference import reference_heat_semigroup
+from reference import (
+    bisection_enclosure,
+    fraction_shift,
+    reference_count_open,
+    reference_heat_semigroup,
+)
 
 A0 = AlphaParam(0)
 
@@ -168,6 +178,71 @@ def test_lemma1_rejects_bad_hypotheses():
         lemma1_localize(2, XiParam(1), Poly([1]), A0, 0)
     with pytest.raises(ValueError):
         lemma1_localize(0, XiParam(1), Poly([1]), A0, Fraction(1, 10))
+
+
+@lru_cache(maxsize=None)
+def reference_radius(family, k: int, param) -> Fraction:
+    return bisection_enclosure(family(k, param), DEFAULT_WIDTH)[1]
+
+
+def reference_window(
+    k: int, p: Poly, alpha: AlphaParam, time: Fraction, centre: Fraction,
+    radius: Fraction, scale: Fraction, degenerate: bool,
+) -> LocalizationReport:
+    """The lemma window by Fraction shift, series flow and Sturm count."""
+    f = fraction_shift(Poly([0] * k + list(p.coeffs)), -centre)
+    flowed = reference_heat_semigroup(f, alpha, time)
+    lo, hi = centre - 2 * radius * scale, centre + 2 * radius * scale
+    count = reference_count_open(flowed, lo, hi)
+    return LocalizationReport(k, lo, hi, count, count >= k, radius, degenerate)
+
+
+# Cofactors with complex roots: x^2 + x + 1, (x^2 + 1)(x - 2), and 3x^3 - x + 2.
+COMPLEX_COFACTORS = (Poly([1, 1, 1]), Poly([-2, 1, -2, 1]), Poly([2, -1, 0, 3]))
+
+
+def test_lemma_windows_match_reference():
+    rng = random.Random(20)
+    for trial in range(48):
+        if trial % 3 == 0:
+            p = COMPLEX_COFACTORS[trial // 3 % 3]
+        else:
+            p = random_poly(rng, 3)
+            while p.coeffs[0] == 0:
+                p = random_poly(rng, 3)
+        k = trial % 5 + 1
+        alpha = (A0, AlphaParam(Fraction(1, 10**16)), random_alpha(rng))[trial % 3]
+        xi = XiParam(random_rational(rng, 1, 64, max_den=16))
+        rung = Fraction(1, 2**20) if trial % 4 == 0 else Fraction(1, 2 ** rng.randint(1, 20))
+
+        radius = reference_radius(laguerre, k, alpha)
+        expected = reference_window(k, p, alpha, rung, Fraction(0), radius, rung, False)
+        assert lemma2_localize(k, p, alpha, rung) == expected
+
+        radius = Fraction(1) if k == 1 else reference_radius(scaled_hermite, k, xi)
+        expected = reference_window(k, p, alpha, rung * rung, xi.value, radius, rung, k == 1)
+        assert lemma1_localize(k, xi, p, alpha, rung) == expected
+
+
+def test_lemma_windows_build_no_poly(monkeypatch):
+    p, alpha, xi = Poly([2, -1, 0, 3]), AlphaParam(Fraction(7, 3)), XiParam(7)
+    rung = Fraction(1, 2**20)
+    calls = [
+        lambda: lemma2_localize(5, p, alpha, rung),
+        lambda: lemma1_localize(5, xi, p, alpha, rung),
+        lambda: lemma1_localize(1, xi, p, A0, rung),
+    ]
+    expected = [call() for call in calls]  # warms the radius caches
+    built = []
+    construct = Poly.__init__
+
+    def counting(self, coeffs=()):
+        built.append(coeffs)
+        construct(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    assert [call() for call in calls] == expected
+    assert built == []
 
 
 def test_semigroup_check_pins():

@@ -92,7 +92,7 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
 
 
 def assert_same_cells(f: Poly, widths=WIDTHS) -> None:
-    ctx = _RootContext(f)
+    ctx = _RootContext(f.numerators()[0])
     for width in widths:
         assert ctx.isolate(width) == reference_isolate(ctx, width), (f, width)
 
@@ -198,7 +198,7 @@ def test_proposals_outside_the_cauchy_interval(monkeypatch):
 
     monkeypatch.setattr(realroot, "_float_roots", beyond)
     for f in theorem_images(9, 40):
-        m = float(realroot._cauchy_bound(_RootContext(f).g))
+        m = float(realroot._cauchy_bound(_RootContext(f.numerators()[0]).g))
         assert_same_cells(f)
 
 
@@ -223,7 +223,7 @@ def test_confirmed_cells_skip_the_chain(monkeypatch):
 
     monkeypatch.setattr(realroot, "_sign_at_dyadic", recording)
     for f in theorem_images(6, 100) + tiny_alpha:
-        ctx = _RootContext(f)
+        ctx = _RootContext(f.numerators()[0])
         degrees.clear()
         ctx.isolate(DEFAULT_WIDTH)
         assert degrees == [len(ctx.g) - 1] * len(degrees), f
@@ -234,7 +234,7 @@ def test_confirmed_cells_skip_the_chain(monkeypatch):
 def test_more_confirmed_cells_than_the_count_raises():
     # Roots off every grid point, so each proposal confirms its cell.
     roots = [(Fraction(1, 3), 1), (Fraction(5, 7), 1), (Fraction(11, 5), 1)]
-    ctx = _RootContext(Poly.from_roots(roots))
+    ctx = _RootContext(Poly.from_roots(roots).numerators()[0])
     # A chain count of two: the three confirmed cells contradict it.
     ctx.distinct -= 1
     with pytest.raises(ArithmeticError):
@@ -267,7 +267,7 @@ def mignotte(n: int, a: int) -> Poly:
 )
 def test_wilkinson_and_mignotte(f, distinct):
     assert_same_cells(f)
-    assert _RootContext(f).distinct == distinct
+    assert _RootContext(f.numerators()[0]).distinct == distinct
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)

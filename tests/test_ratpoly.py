@@ -45,6 +45,27 @@ def test_literal_size_bound():
     assert to_rational("1" * 4299 + "/7") == Fraction(int("1" * 4299), 7)
 
 
+def test_literal_past_a_lowered_int_limit_names_the_limit():
+    # Inside the 4300-digit bound and the grammar, but past a caller's lower limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("1" * 700, "1/" + "3" * 641, "0." + "5" * 700, "1e" + "0" * 700 + "5"):
+            with pytest.raises(ValueError, match="int-to-str limit of 640 digits"):
+                to_rational(text)
+        assert to_rational("1" * 640 + "/" + "7" * 640) == Fraction(int("1" * 640), int("7" * 640))
+        with pytest.raises(ValueError, match="malformed"):
+            to_rational("1" * 700 + "x")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # 0 means no limit.
+    sys.set_int_max_str_digits(0)
+    try:
+        assert to_rational("1" * 4300) == int("1" * 4300)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "text, value",
     [

@@ -38,7 +38,68 @@ small_polys = st.lists(
 
 
 def test_sturm_chain_structure():
-    assert _RootContext(Poly([-2, 0, 1])).chain == ((-2, 0, 1), (0, 1), (1,))
+    assert _RootContext([-2, 0, 1]).chain == ((-2, 0, 1), (0, 1), (1,))
+
+
+# A theorem image, the image of a random real-rooted draw, repeated roots, a
+# real-rooted factor times x^2 + x + 1, and x^2 + x + 1 alone.
+INTEGER_CONTEXT_CASES = {
+    "theorem_image": laguerre_transform(
+        Poly.from_roots([(Fraction(1, 3), 2), (2, 1), (Fraction(7, 5), 1)]),
+        AlphaParam(Fraction(5, 2)),
+    ),
+    "random_image": laguerre_transform(
+        random_real_rooted(random.Random(3), 8), random_alpha(random.Random(4))
+    ),
+    "repeated_roots": Poly.from_roots([(Fraction(1, 3), 3), (-2, 2), (5, 1)], lead=Fraction(-7, 4)),
+    "complex_cofactor": Poly.from_roots([(Fraction(-1, 2), 1), (3, 2)]) * Poly([1, 1, 1]),
+    "no_real_roots": Poly([1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CONTEXT_CASES))
+def test_integer_context_matches_poly_path(name):
+    f = INTEGER_CONTEXT_CASES[name]
+    nums = f.numerators()[0]
+    poly_path = _RootContext(nums)
+    ends = [None] + [Fraction(e) for e in (-3, Fraction(-1, 2), 0, Fraction(1, 3), 2, 5)]
+    width = Fraction(1, 1024)
+    for multiple in (1, -1, 7, -3, 10**30 + 1, -(2**70)):
+        ctx = _RootContext([multiple * c for c in nums])
+        assert (ctx.f, ctx.g, ctx.chain) == (poly_path.f, poly_path.g, poly_path.chain)
+        assert ctx.distinct == poly_path.distinct == count_real_roots(f)
+        for i, lo in enumerate(ends):
+            for hi in ends[i + 1 :] + [None]:
+                assert ctx.count(lo, hi) == count_real_roots(f, lo, hi)
+                if lo is not None and hi is not None:
+                    assert ctx.count_open(lo, hi) == count_real_roots_open(f, lo, hi)
+        assert ctx.isolate(width) == isolate_roots(f, width)
+        if ctx.distinct:
+            assert ctx.enclose(width) == largest_root_enclosure(f, width)
+
+
+def test_zero_polynomial_is_refused_everywhere():
+    counting = "root counting on the zero polynomial is undefined"
+    calls = {
+        counting: [
+            lambda: count_real_roots(Poly()),
+            lambda: count_real_roots(Poly(), -1, 1),
+            lambda: count_real_roots_open(Poly(), -1, 1),
+        ],
+        "certification needs a nonconstant polynomial": [lambda: certify(Poly())],
+        "root isolation needs a nonconstant polynomial": [lambda: isolate_roots(Poly())],
+        "largest-root enclosure needs a nonconstant polynomial": [
+            lambda: largest_root_enclosure(Poly())
+        ],
+    }
+    for message, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        _RootContext([])
+    assert str(info.value) == counting
 
 
 def test_count_pins():
@@ -342,7 +403,7 @@ def test_context_square_free_part_matches_fraction_reference(a, b, c, lead):
     f = a * b * b * c * c * c * Poly([lead])
     if f.is_zero:
         return
-    assert monic(Poly(_RootContext(f).g)) == square_free(f)
+    assert monic(Poly(_RootContext(f.numerators()[0]).g)) == square_free(f)
 
 
 @settings(max_examples=40)
