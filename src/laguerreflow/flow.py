@@ -16,7 +16,6 @@ kernels that ``Poly.shift``, ``heat_flows`` and the root counts wrap.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .basis import (
     laguerre_transform,
     scaled_hermite,
 )
-from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, _taylor_shift, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, _over_lcm, _taylor_shift, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
@@ -137,8 +136,7 @@ def _window_count(
         nums = [h * v**j for j, h in enumerate(_taylor_shift(nums, u, v))]
     a, b = alpha.value.as_integer_ratio()
     flowed = _flow_sum(_lowered(nums, a, b, len(nums) - 1), b, time)
-    scale_to_ints = math.lcm(*(c.denominator for c in flowed))
-    ints = [c.numerator * (scale_to_ints // c.denominator) for c in flowed]
+    ints = _over_lcm(flowed)[0]
     half = 2 * radius * scale
     lo, hi = centre - half, centre + half
     count = _RootContext(ints).count_open(lo, hi)

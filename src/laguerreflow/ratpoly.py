@@ -148,8 +148,7 @@ class Poly:
 
     def numerators(self) -> tuple[list[int], int]:
         """(nums, d) with f = sum nums[i] * x^i / d and d the least common denominator."""
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
+        return _over_lcm(self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -231,6 +230,12 @@ class Poly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _over_lcm(values: Sequence[Union[Fraction, int]]) -> tuple[list[int], int]:
+    """(nums, d) with values[i] = nums[i] / d and d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 def _taylor_shift(nums: Sequence[int], u: int, v: int) -> list[int]:
