@@ -9,13 +9,13 @@ The Laguerre and Hermite families and the basis-sum transform run over integer
 numerators with one common denominator (the transform takes its input's from
 ``Poly.numerators``), so each coefficient builds one Fraction. L is applied by
 its coefficient formula, written once in ``_lowered``. The flow starts from the
-same numerators: with f = nums / d and alpha = a/b it builds one integer series
-G_j = d * b^j * L^j f per polynomial, sums it at each requested time by Horner
-over the levels (``_flow_sum``), where each step's factor -h/(b*(j+1)) carries
-the 1/b^j and 1/j!, and divides by d once, in the one Poly built per time; the
-lemma windows take that sum as it is and build no Poly. It never calls the
-basis kernel or a closed form of exp(-h*L) x^n, so it stays the transform's
-independent check.
+same numerators, in ``_flow_sums``: with f = nums / d and alpha = a/b it builds
+one integer series G_j = d * b^j * L^j f per polynomial and sums it at each
+requested time by Horner over the levels, where each step's factor
+-h/(b*(j+1)) carries the 1/b^j and 1/j!. ``heat_flows`` divides that sum by d
+once, in the one Poly built per time; the lemma windows take the sum as it is
+and build no Poly. The flow never calls the basis kernel or a closed form of
+exp(-h*L) x^n, so it stays the transform's independent check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ratpoly import Poly, RationalLike, to_rational
 
@@ -111,51 +111,54 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
     return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is v^(k//2)
 
 
-def _lowered(nums: Sequence[int], a: int, b: int, count: int) -> list[Sequence[int]]:
-    """nums and its first ``count`` images under b*L, which sends x^j to j*(j*b + a)*x^(j-1).
+def _lowered(nums: Sequence[int], a: int, b: int) -> list[Sequence[int]]:
+    """nums and its images under b*L, which sends x^j to j*(j*b + a)*x^(j-1), down to a constant.
 
-    For f = nums / d and alpha = a/b, level m is the integer list d * b^m * L^m f.
+    For f = nums / d and alpha = a/b, level m is the integer list d * b^m * L^m f;
+    the zero polynomial's series is ``[[]]``.
     """
     weights = [j * (j * b + a) for j in range(len(nums))]
     series = [nums]
-    for _ in range(count):
+    for _ in range(len(nums) - 1):
         prev = series[-1]
         series.append([weights[j] * prev[j] for j in range(1, len(prev))])
     return series
 
 
-def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
-    """exp(-h*L) f for each h in ``times``, from one integer series G_0, ..., G_n.
+def _flow_sums(nums: Sequence[int], alpha: AlphaParam, times: Iterable[Fraction]) -> Iterator[list]:
+    """Yield Q_0 = d * exp(-h*L) f for each h in ``times``, f = nums / d, from one series.
 
-    With f = nums / d and alpha = a/b, G_j = d * b^j * L^j f (``_lowered``), so
+    With alpha = a/b the series is G_j = d * b^j * L^j f (``_lowered``), so
     exp(-h*L) f = sum_j (-h/b)^j G_j / (j! d). Each time sums the levels by
     Horner: Q_n = G_n and Q_j = G_j + (-h/(b*(j+1))) * Q_{j+1} on the first
-    n - j entries, G_j's top entry passed through, so every 1/b^j and 1/j! sits
-    in the step factors, and 1/d is applied once, in the one Poly built from
-    Q_0 / d. The zero polynomial's series is ``[[]]``.
+    n - j entries, G_j's top entry passed through, so every 1/b^j and 1/j!
+    sits in the step factors. Q_0 holds Fractions and ints (its top entry, and
+    every entry when f is constant, stays an int).
+    """
+    a, b = alpha.value.as_integer_ratio()
+    series = _lowered(nums, a, b)
+    for step in times:
+        acc = series[-1]
+        for j in range(len(series) - 2, -1, -1):
+            level = series[j]
+            factor = -step / (b * (j + 1))
+            acc = [factor * q + c for q, c in zip(acc, level)]
+            acc.append(level[-1])
+        yield acc
+
+
+def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
+    """exp(-h*L) f for each h in ``times``, from one integer series of f's numerators.
+
+    With f = nums / d, ``_flow_sums`` gives d * exp(-h*L) f for each time, and
+    1/d is applied once, in the one Poly built per time.
     """
     nums, d = f.numerators()
-    a, b = alpha.value.as_integer_ratio()
-    series = _lowered(nums, a, b, len(nums) - 1)
     den = Fraction(d)  # Q_0 may hold ints, and int / int would be a float
     return tuple(
-        Poly([c / den for c in _flow_sum(series, b, step)]) for step in map(to_rational, times)
+        Poly([c / den for c in flowed])
+        for flowed in _flow_sums(nums, alpha, map(to_rational, times))
     )
-
-
-def _flow_sum(series: list[Sequence[int]], b: int, step: Fraction) -> list:
-    """Q_0 = d * exp(-step*L) f, from the ``_lowered`` series of f = nums / d at alpha = a/b.
-
-    Q_0 holds Fractions and ints (its top entry, and every entry when f is
-    constant, stays an int).
-    """
-    acc = series[-1]
-    for j in range(len(series) - 2, -1, -1):
-        level = series[j]
-        factor = -step / (b * (j + 1))
-        acc = [factor * q + c for q, c in zip(acc, level)]
-        acc.append(level[-1])
-    return acc
 
 
 def heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Poly:

@@ -9,9 +9,10 @@ flow (x^k * p)(x - centre), with centre 0 for the Laguerre window and xi for
 the Hermite window, and the window centre -/+ 2*radius*scale takes one
 open-interval count, where g's sign at the right end serves both the count
 and the open end. A window runs on integers end to end and builds no Poly:
-p's numerators are padded by k zeros and Taylor-shifted (``ratpoly``), flowed
-(``basis``), and the flowed integers counted (``realroot``), by the same
-kernels that ``Poly.shift``, ``heat_flows`` and the root counts wrap.
+p's numerators are padded by k zeros, Taylor-shifted (``ratpoly._taylor_shift``),
+flowed (``basis._flow_sums``, which ``heat_flows`` wraps), put over the lcm of
+their denominators, and counted (``realroot._RootContext``, which the root
+counts wrap).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Sequence
 from .basis import (
     AlphaParam,
     XiParam,
-    _flow_sum,
-    _lowered,
+    _flow_sums,
     heat_flows,
     heat_semigroup,
     laguerre,
@@ -125,17 +125,15 @@ def _window_count(
     """Flow (x^k * p)(x - centre) for ``time``; k or more roots in centre -/+ 2*radius*scale pass.
 
     Integers all the way: p's numerators, padded by k zeros, over d; for
-    centre u/v, Taylor-shifted by -u/v to N_j = h_j * v^j over the one
-    denominator d * v^n. The flow sum of N is Q_0 = d * v^n * the flow, and
-    Q_0 times the lcm of its denominators is the integer multiple the count
-    is taken on.
+    centre u/v, Taylor-shifted by -u/v to N over the one denominator d * v^n.
+    The flow sum of N is Q_0 = d * v^n * the flow, and Q_0 times the lcm of
+    its denominators is the integer multiple the count is taken on.
     """
     nums = [0] * k + p.numerators()[0]
     if centre:
         u, v = (-centre).as_integer_ratio()
-        nums = [h * v**j for j, h in enumerate(_taylor_shift(nums, u, v))]
-    a, b = alpha.value.as_integer_ratio()
-    flowed = _flow_sum(_lowered(nums, a, b, len(nums) - 1), b, time)
+        nums = _taylor_shift(nums, u, v)
+    (flowed,) = _flow_sums(nums, alpha, (time,))
     ints = _over_lcm(flowed)[0]
     half = 2 * radius * scale
     lo, hi = centre - half, centre + half

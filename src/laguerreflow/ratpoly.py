@@ -7,10 +7,10 @@ identity tests are fully reliable.
 
 ``Poly.numerators`` (integer numerators over the least common denominator) is
 the one integer view that the kernels in ``basis`` and ``realroot`` start from.
-``from_roots`` and ``shift`` work on integer coefficient lists, not on Poly
-products: ``shift`` by u/v is an integer Taylor shift by u of the numerators
-scaled by powers of v (``_taylor_shift``, which the lemma windows call
-directly), and builds one Fraction per coefficient.
+``from_roots`` works on integer coefficient lists, not on Poly products, and
+builds one Fraction per coefficient. The lemma windows shift by u/v on
+integers too: ``_taylor_shift`` scales the numerators by powers of v, shifts
+them by the integer u, and leaves the result over the one denominator v^n.
 """
 
 from __future__ import annotations
@@ -192,23 +192,6 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    # -- substitution -------------------------------------------------
-
-    def shift(self, c: RationalLike) -> "Poly":
-        """Compose with x -> x + c, i.e. return f(x + c).
-
-        With f = sum N_i x^i / d and c = u/v, ``_taylor_shift`` gives h_j
-        with f(x + c) = sum h_j x^j / (d * v^(n-j)).
-        """
-        offset = to_rational(c)
-        if offset == 0:
-            return self
-        u, v = offset.as_integer_ratio()
-        nums, d = self.numerators()
-        n = len(nums) - 1
-        shifted = _taylor_shift(nums, u, v)
-        return Poly([Fraction(h, d * v ** (n - j)) for j, h in enumerate(shifted)])
-
     # -- display --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -239,10 +222,10 @@ def _over_lcm(values: Sequence[Union[Fraction, int]]) -> tuple[list[int], int]:
 
 
 def _taylor_shift(nums: Sequence[int], u: int, v: int) -> list[int]:
-    """h with sum nums[i] (x + u/v)^i = sum h_j x^j / v^(n-j), for v > 0 and n = len(nums) - 1.
+    """N with sum nums[i] (x + u/v)^i = sum N_j x^j / v^n, for v > 0 and n = len(nums) - 1.
 
     The integers G_i = nums[i] v^(n-i) give G(v*x) = v^n * sum nums[i] x^i,
-    so shifting G by the integer u yields h.
+    so shifting G by the integer u yields H with N_j = H_j v^j.
     """
     n = len(nums) - 1
     cs = [num * v ** (n - i) for i, num in enumerate(nums)]
@@ -250,7 +233,7 @@ def _taylor_shift(nums: Sequence[int], u: int, v: int) -> list[int]:
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             cs[j] += u * cs[j + 1]
-    return cs
+    return [c * v**j for j, c in enumerate(cs)]
 
 
 # -- JSON polynomial literals ------------------------------------------------

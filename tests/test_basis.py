@@ -144,12 +144,13 @@ def test_scaled_hermite_is_gaussian_flow_of_monomial():
 def lowered(f: Poly, a: Fraction) -> Poly:
     """L f, from the one place the rule x^j -> j*(j+a)*x^(j-1) is written.
 
-    ``_lowered`` applies b*L to f's numerators for a = num/b, so its first level
-    is d * b * L f.
+    ``_lowered`` applies b*L to f's numerators for a = num/b, so its level 1 is
+    d * b * L f; a constant or zero f has no level 1, and L f = 0.
     """
     nums, d = f.numerators()
     num, b = a.as_integer_ratio()
-    return Poly([Fraction(c, d * b) for c in basis._lowered(nums, num, b, 1)[1]])
+    series = basis._lowered(nums, num, b) + [[]]
+    return Poly([Fraction(c, d * b) for c in series[1]])
 
 
 def test_lambda_apply_monomials():

@@ -33,6 +33,7 @@ from laguerreflow import (
     semigroup_check,
     verify_theorem1,
 )
+from laguerreflow.flow import _window_count
 from reference import (
     bisection_enclosure,
     fraction_shift,
@@ -222,6 +223,17 @@ def test_lemma_windows_match_reference():
         radius = Fraction(1) if k == 1 else reference_radius(scaled_hermite, k, xi)
         expected = reference_window(k, p, alpha, rung * rung, xi.value, radius, rung, k == 1)
         assert lemma1_localize(k, xi, p, alpha, rung) == expected
+
+
+def test_lemma_windows_leave_roots_on_their_ends_out():
+    # At time 0 the window counts (x^k * p)(x - c) itself, whose distinct roots
+    # are c and c + r; r = -/+3/2 puts c + r on an end of c -/+ 2 * (3/8) * 2.
+    k, radius, scale, half = 2, Fraction(3, 8), Fraction(2), Fraction(3, 2)
+    for centre in (Fraction(0), Fraction(7, 3)):
+        for r in (half, -half):
+            rep = _window_count(k, Poly([-r, 1]), A0, Fraction(0), centre, radius, scale, False)
+            assert (rep.window_lo, rep.window_hi) == (centre - half, centre + half)
+            assert rep.roots_in_window == 1 and not rep.passed
 
 
 def test_lemma_windows_build_no_poly(monkeypatch):

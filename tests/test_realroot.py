@@ -29,7 +29,7 @@ from laguerreflow import (
     scaled_hermite,
 )
 from laguerreflow.realroot import _RootContext, _cauchy_bound, _primitive
-from reference import cauchy_root_bound, monic, square_free
+from reference import cauchy_root_bound, fraction_shift, monic, square_free
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 small_polys = st.lists(
@@ -283,7 +283,7 @@ def test_certify_invariant_under_scaling(roots, scale):
 def test_certify_shift_preserves_counts():
     f = Poly.from_roots([(0, 2), (3, 1)])
     for c in [Fraction(1), Fraction(-7, 2)]:
-        g = f.shift(c)
+        g = fraction_shift(f, c)
         assert certify(g).distinct_real_roots == 2
         assert certify(g).is_real_rooted
 
