@@ -12,10 +12,10 @@ its coefficient formula, written once in ``_lowered``. The flow starts from the
 same numerators, in ``_flow_sums``: with f = nums / d and alpha = a/b it builds
 one integer series G_j = d * b^j * L^j f per polynomial and sums it at each
 requested time by Horner over the levels, where each step's factor
--h/(b*(j+1)) carries the 1/b^j and 1/j!. ``heat_flows`` divides that sum by d
-once, in the one Poly built per time; the lemma windows take the sum as it is
-and build no Poly. The flow never calls the basis kernel or a closed form of
-exp(-h*L) x^n, so it stays the transform's independent check.
+-h/(b*(j+1)) carries the 1/b^j and 1/j!; each sum is yielded as integers over
+one denominator. ``heat_flows`` divides them by that denominator times d; the
+lemma windows count the integers as they are. The flow never calls the basis
+kernel or a closed form of exp(-h*L) x^n: it is the transform's independent check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .ratpoly import Poly, RationalLike, to_rational
+from .ratpoly import Poly, RationalLike, _over_lcm, to_rational
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,16 @@ def _lowered(nums: Sequence[int], a: int, b: int) -> list[Sequence[int]]:
     return series
 
 
-def _flow_sums(nums: Sequence[int], alpha: AlphaParam, times: Iterable[Fraction]) -> Iterator[list]:
-    """Yield Q_0 = d * exp(-h*L) f for each h in ``times``, f = nums / d, from one series.
+def _flow_sums(
+    nums: Sequence[int], alpha: AlphaParam, times: Iterable[Fraction]
+) -> Iterator[tuple[list[int], int]]:
+    """Yield (ints, den), ints / den = d * exp(-h*L) f, per h in ``times``; f = nums / d.
 
     With alpha = a/b the series is G_j = d * b^j * L^j f (``_lowered``), so
     exp(-h*L) f = sum_j (-h/b)^j G_j / (j! d). Each time sums the levels by
     Horner: Q_n = G_n and Q_j = G_j + (-h/(b*(j+1))) * Q_{j+1} on the first
     n - j entries, G_j's top entry passed through, so every 1/b^j and 1/j!
-    sits in the step factors. Q_0 holds Fractions and ints (its top entry, and
-    every entry when f is constant, stays an int).
+    sits in the step factors. Q_0 goes over den, the lcm of its denominators.
     """
     a, b = alpha.value.as_integer_ratio()
     series = _lowered(nums, a, b)
@@ -144,20 +145,19 @@ def _flow_sums(nums: Sequence[int], alpha: AlphaParam, times: Iterable[Fraction]
             factor = -step / (b * (j + 1))
             acc = [factor * q + c for q, c in zip(acc, level)]
             acc.append(level[-1])
-        yield acc
+        yield _over_lcm(acc)
 
 
 def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tuple[Poly, ...]:
     """exp(-h*L) f for each h in ``times``, from one integer series of f's numerators.
 
-    With f = nums / d, ``_flow_sums`` gives d * exp(-h*L) f for each time, and
-    1/d is applied once, in the one Poly built per time.
+    With f = nums / d, ``_flow_sums`` gives d * exp(-h*L) f as ints / den for
+    each time, so each coefficient is Fraction(c, den * d), one Poly per time.
     """
     nums, d = f.numerators()
-    den = Fraction(d)  # Q_0 may hold ints, and int / int would be a float
     return tuple(
-        Poly([c / den for c in flowed])
-        for flowed in _flow_sums(nums, alpha, map(to_rational, times))
+        Poly([Fraction(c, den * d) for c in ints])
+        for ints, den in _flow_sums(nums, alpha, map(to_rational, times))
     )
 
 

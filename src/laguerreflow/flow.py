@@ -10,9 +10,9 @@ the Hermite window, and the window centre -/+ 2*radius*scale takes one
 open-interval count, where g's sign at the right end serves both the count
 and the open end. A window runs on integers end to end and builds no Poly:
 p's numerators are padded by k zeros, Taylor-shifted (``ratpoly._taylor_shift``),
-flowed (``basis._flow_sums``, which ``heat_flows`` wraps), put over the lcm of
-their denominators, and counted (``realroot._RootContext``, which the root
-counts wrap).
+flowed (``basis._flow_sums``, which ``heat_flows`` wraps, and which yields
+integers over one denominator), and counted (``realroot._RootContext``, which
+the root counts wrap).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .basis import (
     laguerre_transform,
     scaled_hermite,
 )
-from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, _over_lcm, _taylor_shift, to_rational
+from .ratpoly import LITERAL_DEGREE, Poly, RationalLike, _taylor_shift, to_rational
 from .realroot import (
     DEFAULT_WIDTH,
     RootCertificate,
@@ -58,10 +58,9 @@ def verify_theorem1(
     """Transform f and certify whether the image is real-rooted.
 
     The caller is responsible for f itself being real-rooted (harnesses build
-    it from roots); the verdict concerns the image only.
+    it from roots); the verdict concerns the image only. The transform keeps
+    the degree, so ``certify`` refuses a constant f.
     """
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("transform verification needs a nonconstant polynomial")
     transformed = laguerre_transform(f, alpha)
     cert = certify(transformed, width)
     return Theorem1Result(transformed, cert, cert.is_real_rooted)
@@ -126,15 +125,14 @@ def _window_count(
 
     Integers all the way: p's numerators, padded by k zeros, over d; for
     centre u/v, Taylor-shifted by -u/v to N over the one denominator d * v^n.
-    The flow sum of N is Q_0 = d * v^n * the flow, and Q_0 times the lcm of
-    its denominators is the integer multiple the count is taken on.
+    The flow sum of N gives d * v^n * the flow as integers over one
+    denominator, and those integers are the multiple the count is taken on.
     """
     nums = [0] * k + p.numerators()[0]
     if centre:
         u, v = (-centre).as_integer_ratio()
         nums = _taylor_shift(nums, u, v)
-    (flowed,) = _flow_sums(nums, alpha, (time,))
-    ints = _over_lcm(flowed)[0]
+    ((ints, _),) = _flow_sums(nums, alpha, (time,))
     half = 2 * radius * scale
     lo, hi = centre - half, centre + half
     count = _RootContext(ints).count_open(lo, hi)
@@ -211,10 +209,9 @@ def flow_trace(
 ) -> FlowTrace:
     """Certify the flowed polynomial at each grid time, starting from h = 0.
 
-    One series of f serves every time on the grid.
+    One series of f serves every time on the grid. The flow keeps the
+    degree, so ``certify`` refuses a constant f.
     """
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("flow tracing needs a nonconstant polynomial")
     grid = [to_rational(h) for h in h_grid]
     if not grid:
         raise ValueError("the time grid must be nonempty")

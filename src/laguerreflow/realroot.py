@@ -297,7 +297,7 @@ def count_real_roots(
 
 def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     """Distinct real roots in the open interval (lo, hi), finite endpoints."""
-    lo_q, hi_q = _validated_bounds(lo, hi)
+    lo_q, hi_q = _validated_bounds(to_rational(lo), to_rational(hi))
     return _RootContext(f.numerators()[0]).count_open(lo_q, hi_q)
 
 

@@ -17,10 +17,15 @@ from laguerreflow import (
     DEFAULT_WIDTH,
     AlphaParam,
     Poly,
+    XiParam,
+    count_real_roots_open,
+    heat_semigroup,
+    laguerre,
     laguerre_transform,
     random_alpha,
     random_rational,
     random_real_rooted,
+    scaled_hermite,
 )
 from laguerreflow import realroot
 from laguerreflow.realroot import (
@@ -29,7 +34,7 @@ from laguerreflow.realroot import (
     _sign_at_dyadic,
     _variations,
 )
-from reference import cauchy_root_bound
+from reference import cauchy_root_bound, reference_count_open
 
 WIDTHS = (DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3), Fraction(4))
 
@@ -242,9 +247,11 @@ def test_more_confirmed_cells_than_the_count_raises():
 
 
 # Standard families of the real-root literature (Rouillier & Zimmermann 2004),
-# checked against plain bisection and sympy. They guard the paths that float
-# proposals are to take over from the Sturm chain: chain-free certify,
-# multiprecision proposals and one root engine without the Sturm split.
+# checked against plain bisection and sympy, with open counts against the
+# Fraction Sturm count. They guard the paths that float proposals are to take
+# over from the Sturm chain: chain-free certify (ROADMAP item 2),
+# multiprecision proposals (item 3) and one root engine without the Sturm
+# split (item 4).
 def wilkinson(roots) -> Poly:
     return Poly.from_roots([(r, 1) for r in roots])
 
@@ -263,11 +270,35 @@ def mignotte(n: int, a: int) -> Poly:
         (mignotte(12, 2**10), 4),
         (mignotte(13, 2**10), 3),
         (mignotte(24, 2**20), 4),
+        # Laguerre roots crowd 0 and spread to about 4n: every cell must
+        # confirm for chain-free certify (item 2).
+        (laguerre(20, AlphaParam(0)), 20),
+        (laguerre(20, AlphaParam(Fraction(7, 3))), 20),
+        # b^20 = 10^320 puts the integers past float range while the roots stay
+        # small: only g's monic image proposes them (item 3).
+        (laguerre(20, AlphaParam(Fraction(1, 10**16))), 20),
+        # Odd Hermite degree: a root at 0, the first midpoint, so isolation
+        # nudges (item 4).
+        (scaled_hermite(21, XiParam(1)), 21),
+        (scaled_hermite(21, XiParam(Fraction(5, 2))), 21),
+        # A lemma window: x^5 * (x^2 + x + 1) flowed at h = 2^-20, five roots
+        # within 2^-14 of 0 beside a complex pair, a non-real-rooted input that
+        # keeps the Sturm split (item 4).
+        (
+            heat_semigroup(
+                Poly([0, 0, 0, 0, 0, 1, 1, 1]), AlphaParam(Fraction(7, 3)), Fraction(1, 2**20)
+            ),
+            5,
+        ),
     ],
 )
 def test_wilkinson_and_mignotte(f, distinct):
     assert_same_cells(f)
     assert _RootContext(f.numerators()[0]).distinct == distinct
+    # (0, 1) has roots on its ends for the Wilkinson and Hermite inputs; the
+    # small window holds the lemma window's roots and the Mignotte pair at a = 2^20.
+    for lo, hi in ((Fraction(0), Fraction(1)), (Fraction(-1, 2**14), Fraction(1, 2**14))):
+        assert count_real_roots_open(f, lo, hi) == reference_count_open(f, lo, hi), (f, lo, hi)
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)

@@ -28,7 +28,7 @@ from laguerreflow import (
     random_real_rooted,
     scaled_hermite,
 )
-from laguerreflow.realroot import _RootContext, _cauchy_bound, _primitive
+from laguerreflow.realroot import _RootContext, _cauchy_bound, _float_roots, _primitive
 from reference import cauchy_root_bound, fraction_shift, monic, square_free
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=10)
@@ -136,6 +136,20 @@ def test_count_multiple_roots_at_endpoint():
     f = Poly.from_roots([(1, 3)])
     assert count_real_roots(f, 0, 1) == 1
     assert count_real_roots_open(f, 0, 1) == 0
+
+
+def test_open_count_refuses_an_unbounded_end():
+    # Open counts take finite ends only; None is refused as a rational, on either side.
+    f = Poly([-2, 0, 1])
+    for lo, hi in ((None, 1), (-1, None), (None, None)):
+        with pytest.raises((TypeError, ValueError)):
+            count_real_roots_open(f, lo, hi)
+
+
+def test_polish_stops_on_a_flat_root():
+    # x^2 from -1: Laguerre's method lands on the double root 0 exactly, where
+    # the derivative vanishes too, so the Newton polish stops without a step.
+    assert _float_roots([1.0, 0.0, 0.0], -1.0, 1e-9) == [0.0, 0.0]
 
 
 @settings(max_examples=100)
