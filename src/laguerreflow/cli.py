@@ -119,8 +119,6 @@ def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
     alpha = AlphaParam(args.alpha)
     xi = XiParam(args.xi)
     top = args.max_index
-    if top < 0:
-        raise ValueError("max index must be nonnegative")
     if top > MAX_ORTHOGONALITY_INDEX:
         raise ValueError(f"max index must be at most {MAX_ORTHOGONALITY_INDEX}, got {top}")
     bits = max(q.numerator.bit_length() + q.denominator.bit_length()

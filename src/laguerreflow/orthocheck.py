@@ -14,7 +14,8 @@ order 2T, so one row serves all the entries of its row without rescaling. The
 row of P_n is row_n[j] = sum_i P_n[i] * mu_(i+j), the moments of x^j * P_n,
 formed once; entry (n, m) is then sum_j P_m[j] * row_n[j] over the product of
 the three denominators. So a table costs O(T^3) integer products, where
-expanding each product P_n * P_m would cost O(T^4).
+expanding each product P_n * P_m would cost O(T^4). The builder alone refuses
+a negative max index T, for both families.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ def _table(
     P_n = polys[n] / dens[n] and the moment of x^k is moments[k] / moment_den.
     total = sum_j polys[m][j] * row_n[j], where row_n[j] = sum_i polys[n][i] *
     mu_(i+j), the moments of x^j * polys[n], is formed once and serves the
-    whole row. A zero total needs no denominator.
+    whole row. A zero total needs no denominator. No polynomial means a
+    negative max index.
     """
+    if not polys:
+        raise ValueError("max index must be nonnegative")
     size = len(polys)
     table = {}
     for n, p in enumerate(polys):

@@ -54,8 +54,10 @@ Both queries run on one dyadic grid over their span, (-M, M] or (0, M] with
 M = p/q: points are integer numerators over q*2^j, down to the least depth
 whose cells fit the width. The chain is rewritten in y = q*x (for isolation g
 at once, the rest on the first split), so every evaluation is at a dyadic
-point and scales by shifts; the float pass stops at one final cell. Fractions
-are built only for the output.
+point and scales by shifts; the float pass stops at one final cell. Isolation
+keeps each final cell by the numerator of its left end, so an interval finds
+the confirmed cells inside it by shifting its own ends to the final depth.
+Fractions are built only for the output.
 """
 
 from __future__ import annotations
@@ -238,19 +240,14 @@ def _neg_prem(a: Ints, b: Ints) -> list[int]:
 
 
 def _sturm_sequence(p: Ints) -> list[Ints]:
-    """Signed primitive remainder sequence of (p, p').
+    """Signed primitive remainder sequence of (p, p'); a constant p gives [p].
 
     Its last element is gcd(p, p') up to a constant factor.
     """
-    seq = [p]
-    derivative = [i * c for i, c in enumerate(p)][1:]
-    if derivative:
-        seq.append(_primitive(derivative))
-        while True:
-            r = _neg_prem(seq[-2], seq[-1])
-            if not r:
-                break
-            seq.append(_primitive(r))
+    seq, r = [p], [i * c for i, c in enumerate(p)][1:]
+    while r:
+        seq.append(_primitive(r))
+        r = _neg_prem(seq[-2], seq[-1])
     return seq
 
 
@@ -384,26 +381,25 @@ class _RootContext:
         # No root of g lies at or beyond pos, or at or below -neg.
         pos = _positive_root_bound(g)
         neg = _positive_root_bound(tuple(-c if i % 2 else c for i, c in enumerate(g)))
-        # Cell k of depth d_end is (-p*2^d_end + 2p*k, ... + 2p] at scale d_end. A
-        # cell with g nonzero and of opposite signs at its edges holds a root.
+        # A cell of depth d_end is (lo, lo + 2p] at scale d_end, kept by its grid
+        # numerator lo, -p*2^d_end plus a multiple of 2p. A cell with g nonzero
+        # and of opposite signs at its edges holds a root.
         cells = set()
         for r in _proposals(self.g, -neg, q, 2 * p, d_end):
             num, den = r.as_integer_ratio()
-            cells.add(((num * q + p * den) << d_end) // (2 * p * den))
+            cells.add(2 * p * (((num * q + p * den) << d_end) // (2 * p * den)) - (p << d_end))
         confirmed = []
-        for k in sorted(cells):
-            lo = (-p << d_end) + 2 * p * k
+        for lo in sorted(cells):
             left = _sign_at_dyadic(g, lo, d_end)
             if left and _sign_at_dyadic(g, lo + 2 * p, d_end) == -left:
-                confirmed.append(k)
+                confirmed.append(lo)
 
         def held(a: int, b: int, s: int) -> tuple[int, int]:
             """(first index, count) of the confirmed cells inside (a, b] at scale s."""
             if b - a != 2 * p or s > d_end:
                 return 0, 0
-            k = (a + (p << s)) // (2 * p) << (d_end - s)
-            i = bisect_left(confirmed, k)
-            return i, bisect_left(confirmed, k + (1 << (d_end - s)), i) - i
+            i = bisect_left(confirmed, a << (d_end - s))
+            return i, bisect_left(confirmed, b << (d_end - s), i) - i
 
         sg_minus = -1 if (len(g) - 1) % 2 else 1  # the sign of g at -infinity
         found = []
@@ -417,8 +413,7 @@ class _RootContext:
                 raise ArithmeticError("more confirmed cells than Sturm roots in an interval")
             if n == v_a - v_b:
                 # Each root lies strictly inside its own cell, where bisection ends.
-                for k in confirmed[i : i + n]:
-                    lo = (-p << d_end) + 2 * p * k
+                for lo in confirmed[i : i + n]:
                     found.append(
                         IsolatingInterval(Fraction(lo, q << d_end), Fraction(lo + 2 * p, q << d_end))
                     )
@@ -484,18 +479,20 @@ class _RootContext:
         return Fraction(lo * p, q << depth), Fraction(hi * p, q << depth)
 
 
-def _validated_width(width: RationalLike, what: str) -> Fraction:
+def _prepared(f: Poly, width: RationalLike, query: str) -> tuple[_RootContext, Fraction]:
+    """f's root context and the width, for a query that needs a nonconstant f and width > 0."""
+    if f.is_zero or f.degree() == 0:
+        raise ValueError(f"{query} needs a nonconstant polynomial")
     w = to_rational(width)
     if w <= 0:
-        raise ValueError(f"{what} width must be positive")
-    return w
+        raise ValueError(f"{query} width must be positive")
+    return _RootContext(f.numerators()[0]), w
 
 
 def isolate_roots(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> tuple[IsolatingInterval, ...]:
     """Disjoint sorted intervals, one per distinct real root, each at most ``width`` wide."""
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("root isolation needs a nonconstant polynomial")
-    return _RootContext(f.numerators()[0]).isolate(_validated_width(width, "isolation"))
+    ctx, w = _prepared(f, width, "root isolation")
+    return ctx.isolate(w)
 
 
 @dataclass(frozen=True)
@@ -516,10 +513,7 @@ class RootCertificate:
 
 def certify(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> RootCertificate:
     """Certify real-rootedness and simplicity, with isolating intervals."""
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("certification needs a nonconstant polynomial")
-    w = _validated_width(width, "isolation")
-    ctx = _RootContext(f.numerators()[0])
+    ctx, w = _prepared(f, width, "certification")
     g_degree = len(ctx.g) - 1
     return RootCertificate(
         degree=f.degree(),
@@ -541,6 +535,5 @@ def largest_root_enclosure(
     [-hi, hi]. A lone root at 0 gives (0, 0). Raises if f has no real roots
     (the radius is undefined there).
     """
-    if f.is_zero or f.degree() == 0:
-        raise ValueError("largest-root enclosure needs a nonconstant polynomial")
-    return _RootContext(f.numerators()[0]).enclose(_validated_width(width, "enclosure"))
+    ctx, w = _prepared(f, width, "largest-root enclosure")
+    return ctx.enclose(w)

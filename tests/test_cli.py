@@ -656,3 +656,12 @@ def test_main_restores_int_str_limit(capsys):
     ):
         run(capsys, *argv)
         assert sys.get_int_max_str_digits() == before
+
+
+def test_readme_library_example_prints_true(capsys):
+    """The README's library example, read from README.md itself, so the doc cannot drift."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n"

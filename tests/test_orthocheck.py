@@ -101,6 +101,18 @@ def test_hermite_inner_rejects_nonpositive_xi():
             hermite_table(3, xi)
 
 
+def test_tables_refuse_a_negative_max_index():
+    for table in (
+        lambda top: laguerre_table(top, AlphaParam(Fraction(1, 2))),
+        lambda top: hermite_table(top, XiParam(2)),
+    ):
+        assert len(table(0)) == 1
+        for top in (-1, -3):
+            with pytest.raises(ValueError) as info:
+                table(top)
+            assert str(info.value) == "max index must be nonnegative"
+
+
 def _reference_inner(product, moment_of):
     """Sum of the product's coefficients times Fraction moments."""
     return sum((c * moment_of(j) for j, c in enumerate(product.coeffs)), Fraction(0))

@@ -91,6 +91,14 @@ def test_zero_polynomial_is_refused_everywhere():
         "largest-root enclosure needs a nonconstant polynomial": [
             lambda: largest_root_enclosure(Poly())
         ],
+        # Each query also names itself when it refuses a width.
+        "certification width must be positive": [lambda: certify(Poly([-2, 0, 1]), 0)],
+        "root isolation width must be positive": [
+            lambda: isolate_roots(Poly([-2, 0, 1]), Fraction(-1, 3))
+        ],
+        "largest-root enclosure width must be positive": [
+            lambda: largest_root_enclosure(Poly([-2, 0, 1]), "0")
+        ],
     }
     for message, refused in calls.items():
         for call in refused:
