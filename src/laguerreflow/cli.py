@@ -43,6 +43,7 @@ from .flow import (
     verify_theorem1,
 )
 from .orthocheck import (
+    _checked_index,
     hermite_diagonal,
     hermite_diagonal_reference,
     hermite_table,
@@ -118,7 +119,7 @@ def _cmd_isolate(args: argparse.Namespace) -> tuple[dict, object, bool]:
 def _cmd_orthogonality(args: argparse.Namespace) -> tuple[dict, object, bool]:
     alpha = AlphaParam(args.alpha)
     xi = XiParam(args.xi)
-    top = args.max_index
+    top = _checked_index(args.max_index)
     if top > MAX_ORTHOGONALITY_INDEX:
         raise ValueError(f"max index must be at most {MAX_ORTHOGONALITY_INDEX}, got {top}")
     bits = max(q.numerator.bit_length() + q.denominator.bit_length()

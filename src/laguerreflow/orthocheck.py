@@ -14,8 +14,8 @@ order 2T, so one row serves all the entries of its row without rescaling. The
 row of P_n is row_n[j] = sum_i P_n[i] * mu_(i+j), the moments of x^j * P_n,
 formed once; entry (n, m) is then sum_j P_m[j] * row_n[j] over the product of
 the three denominators. So a table costs O(T^3) integer products, where
-expanding each product P_n * P_m would cost O(T^4). The builder alone refuses
-a negative max index T, for both families.
+expanding each product P_n * P_m would cost O(T^4). ``_checked_index`` alone
+refuses a negative max index T; the tables and the CLI call it before using T.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .basis import AlphaParam, XiParam, _hermite_ints, _laguerre_den, _monic_laguerre_ints
+
+
+def _checked_index(top: int) -> int:
+    if top < 0:
+        raise ValueError("max index must be nonnegative")
+    return top
 
 
 def _laguerre_moments(top: int, a: int, b: int) -> list[int]:
@@ -66,11 +72,8 @@ def _table(
     P_n = polys[n] / dens[n] and the moment of x^k is moments[k] / moment_den.
     total = sum_j polys[m][j] * row_n[j], where row_n[j] = sum_i polys[n][i] *
     mu_(i+j), the moments of x^j * polys[n], is formed once and serves the
-    whole row. A zero total needs no denominator. No polynomial means a
-    negative max index.
+    whole row. A zero total needs no denominator.
     """
-    if not polys:
-        raise ValueError("max index must be nonnegative")
     size = len(polys)
     table = {}
     for n, p in enumerate(polys):
@@ -88,7 +91,7 @@ def laguerre_table(top: int, alpha: AlphaParam) -> dict[tuple[int, int], Fractio
     Gamma(alpha+1), and off-diagonal entries are exactly zero.
     """
     a, b = alpha.value.as_integer_ratio()
-    polys = [_monic_laguerre_ints(n, a, b) for n in range(top + 1)]
+    polys = [_monic_laguerre_ints(n, a, b) for n in range(_checked_index(top) + 1)]
     dens = [_laguerre_den(n, p) for n, p in enumerate(polys)]
     return _table(polys, dens, _laguerre_moments(top, a, b), b ** (2 * top))
 
@@ -102,7 +105,7 @@ def hermite_table(top: int, xi: XiParam) -> dict[tuple[int, int], Fraction]:
     if xi.value <= 0:
         raise ValueError(f"xi must be positive for an integrable weight, got {xi.value}")
     u, v = xi.value.as_integer_ratio()
-    polys = [_hermite_ints(k, u, v) for k in range(top + 1)]
+    polys = [_hermite_ints(k, u, v) for k in range(_checked_index(top) + 1)]
     return _table(polys, [p[-1] for p in polys], _hermite_moments(top, u, v), v**top)
 
 

@@ -406,6 +406,12 @@ def test_usage_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "orthogonality", "--max-index", "-1")
     assert code == 2 and "max index must be nonnegative" in err
+    # The index is refused before the work bounds and before any arithmetic on it.
+    for literal in ("1e-400", "1e4300"):
+        code, out, err = run(
+            capsys, "orthogonality", "--alpha", literal, "--xi", literal, "--max-index", "-16"
+        )
+        assert (code, out, err) == (2, "", "error: max index must be nonnegative\n")
 
     code, _, err = run(capsys, "semigroup", "--poly", '{"coeffs":["1"]}', "--h1", "1")
     assert code == 2 and "--h1 and --h2 are required" in err

@@ -102,9 +102,13 @@ def test_hermite_inner_rejects_nonpositive_xi():
 
 
 def test_tables_refuse_a_negative_max_index():
+    # A 1e-400 parameter has a denominator past float range, so any power taken
+    # with a negative index before the check would raise OverflowError instead.
     for table in (
         lambda top: laguerre_table(top, AlphaParam(Fraction(1, 2))),
         lambda top: hermite_table(top, XiParam(2)),
+        lambda top: laguerre_table(top, AlphaParam("1e-400")),
+        lambda top: hermite_table(top, XiParam("1e-400")),
     ):
         assert len(table(0)) == 1
         for top in (-1, -3):
