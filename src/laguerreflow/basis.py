@@ -7,15 +7,15 @@ over the rationals for any rational time h.
 
 The Laguerre and Hermite families and the basis-sum transform run over integer
 numerators with one common denominator (the transform takes its input's from
-``Poly.numerators``), so each coefficient builds one Fraction. L is applied by
+``Poly.numerators``) and store them through ``Poly._from_ints``. L is applied by
 its coefficient formula, written once in ``_lowered``. The flow starts from the
 same numerators, in ``_flow_sums``: with f = nums / d and alpha = a/b it builds
 one integer series G_j = d * b^j * L^j f per polynomial and sums it at each
-requested time by Horner over the levels, where each step's factor
--h/(b*(j+1)) carries the 1/b^j and 1/j!; each sum is yielded as integers over
-one denominator. ``heat_flows`` divides them by that denominator times d; the
-lemma windows count the integers as they are. The flow never calls the basis
-kernel or a closed form of exp(-h*L) x^n: it is the transform's independent check.
+requested time by Horner over the levels, where each step's factor -h/(b*(j+1))
+carries the 1/b^j and 1/j!; each sum is yielded as integers over one
+denominator. ``heat_flows`` puts them over that denominator times d; the lemma
+windows count the integers as they are. The flow never calls the basis kernel or
+a closed form of exp(-h*L) x^n: it is the transform's independent check.
 """
 
 from __future__ import annotations
@@ -80,14 +80,13 @@ def laguerre(n: int, alpha: AlphaParam) -> Poly:
     L_n(x) = sum_{i=0}^{n} (-1)^i * C(n+alpha, n-i) * x^i / i!
     """
     ints = _monic_laguerre_ints(n, *alpha.value.as_integer_ratio())
-    den = _laguerre_den(n, ints)
-    return Poly([Fraction(c, den) for c in ints])
+    return Poly._from_ints(ints, _laguerre_den(n, ints))
 
 
 def monic_laguerre(n: int, alpha: AlphaParam) -> Poly:
     """(-1)^n * n! * laguerre(n, alpha): the monic normalization."""
     ints = _monic_laguerre_ints(n, *alpha.value.as_integer_ratio())
-    return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is b^n
+    return Poly._from_ints(ints, ints[-1])  # ints[-1] is b^n
 
 
 def _hermite_ints(k: int, u: int, v: int) -> list[int]:
@@ -108,7 +107,7 @@ def scaled_hermite(k: int, xi: XiParam) -> Poly:
     H_k(x) = sum_{j=0}^{floor(k/2)} (-xi)^j * k! / (j! (k-2j)!) * x^(k-2j).
     """
     ints = _hermite_ints(k, *xi.value.as_integer_ratio())
-    return Poly([Fraction(c, ints[-1]) for c in ints])  # ints[-1] is v^(k//2)
+    return Poly._from_ints(ints, ints[-1])  # ints[-1] is v^(k//2)
 
 
 def _lowered(nums: Sequence[int], a: int, b: int) -> list[Sequence[int]]:
@@ -152,11 +151,11 @@ def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tup
     """exp(-h*L) f for each h in ``times``, from one integer series of f's numerators.
 
     With f = nums / d, ``_flow_sums`` gives d * exp(-h*L) f as ints / den for
-    each time, so each coefficient is Fraction(c, den * d), one Poly per time.
+    each time, so each flow is those ints over den * d, one Poly per time.
     """
     nums, d = f.numerators()
     return tuple(
-        Poly([Fraction(c, den * d) for c in ints])
+        Poly._from_ints(ints, den * d)
         for ints, den in _flow_sums(nums, alpha, map(to_rational, times))
     )
 
@@ -188,8 +187,7 @@ def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly
         scale = num * b ** (n - i)
         for j, term in enumerate(_monic_laguerre_ints(i, a, b)):
             acc[j] += scale * term
-    den = d * b**n
-    result = Poly([Fraction(c, den) for c in acc])
+    result = Poly._from_ints(acc, d * b**n)
     if verify:
         flowed = heat_semigroup(f, alpha, Fraction(1))
         if flowed != result:

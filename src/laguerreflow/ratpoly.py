@@ -1,16 +1,16 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-A polynomial is a tuple of ``fractions.Fraction`` coefficients in ascending
-degree order with no trailing zeros; the zero polynomial is the empty tuple.
-Every operation is exact: no floating point enters anywhere, so polynomial
-identity tests are fully reliable.
+A polynomial is its integer numerators, ascending with a nonzero top one, over
+one denominator den > 0 with gcd(den, *nums) = 1: the lcm form, as in FLINT's
+``fmpq_poly``. The zero polynomial is the empty tuple over 1. Every operation
+is exact: no floating point enters anywhere, so polynomial identity tests are
+fully reliable, and equal polynomials are equal pairs.
 
-``Poly.numerators`` (integer numerators over the least common denominator) is
-the one integer view that the kernels in ``basis`` and ``realroot`` start from.
-``from_roots`` works on integer coefficient lists, not on Poly products, and
-builds one Fraction per coefficient. The lemma windows shift by u/v on
-integers too: ``_taylor_shift`` scales the numerators by powers of v, shifts
-them by the integer u, and leaves the result over the one denominator v^n.
+The kernels in ``basis`` and ``realroot`` start from ``Poly.numerators`` and
+hand their integers back to ``Poly._from_ints``, which normalizes them by one
+gcd; ``coeffs`` builds the Fractions on first read. ``_taylor_shift`` shifts
+integer numerators by u/v for the lemma windows: it scales them by powers of
+v, shifts them by the integer u, and leaves the result over the one denominator v^n.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -82,27 +83,41 @@ def to_rational(value: RationalLike) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x^i. Instances are immutable and
-    normalized on construction: the leading coefficient is nonzero, and the
-    zero polynomial is the empty tuple (its degree is deliberately undefined).
+    ``nums[i] / den`` is the coefficient of x^i. Instances are immutable and
+    normalized on construction to the lcm form; the zero polynomial is
+    ``((), 1)``, and its degree is deliberately undefined.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [to_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        nums, den = _over_lcm([to_rational(c) for c in coeffs])
+        while nums and nums[-1] == 0:
+            nums.pop()
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_ints(cls, nums: Iterable[int], den: int) -> "Poly":
+        """sum nums[i] * x^i / den for a nonzero den, normalized by one gcd and den's sign."""
+        ns = list(nums)
+        while ns and ns[-1] == 0:
+            ns.pop()
+        g = -math.gcd(den, *ns) if den < 0 else math.gcd(den, *ns)
+        self = object.__new__(cls)
+        object.__setattr__(self, "nums", tuple([c // g for c in ns]) if g != 1 else tuple(ns))
+        object.__setattr__(self, "den", den // g)
+        return self
 
     @staticmethod
     def from_roots(roots: Sequence[tuple[RationalLike, int]], lead: RationalLike = 1) -> "Poly":
         """lead * prod (x - r)^m over the given (root, multiplicity) pairs.
 
         Each root a/b multiplies integer numerators by (b*x - a) and the
-        denominator by b, so every coefficient becomes a Fraction once.
+        denominator by b.
         """
         num, den = to_rational(lead).as_integer_ratio()
         if num == 0:
@@ -118,25 +133,30 @@ class Poly:
                     nums[i] = b * nums[i - 1] - a * nums[i]
                 nums[0] *= -a
             den *= b**mult
-        return Poly([Fraction(c, den) for c in nums])
+        return Poly._from_ints(nums, den)
 
     # -- basic structure ----------------------------------------------
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending; built on first read."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def degree(self) -> int:
         """Degree of a nonzero polynomial; the zero polynomial has none."""
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
@@ -147,8 +167,8 @@ class Poly:
         return Fraction(0)
 
     def numerators(self) -> tuple[list[int], int]:
-        """(nums, d) with f = sum nums[i] * x^i / d and d the least common denominator."""
-        return _over_lcm(self.coeffs)
+        """(nums, d), f = sum nums[i] * x^i / d: a fresh list of the stored pair's numerators."""
+        return list(self.nums), self.den
 
     # -- ring operations ----------------------------------------------
 
@@ -217,7 +237,9 @@ class Poly:
 
 def _over_lcm(values: Sequence[Union[Fraction, int]]) -> tuple[list[int], int]:
     """(nums, d) with values[i] = nums[i] / d and d the lcm of the denominators."""
-    d = math.lcm(*(c.denominator for c in values))
+    # Lists, not generators (here and in Poly): a tuple built from a generator
+    # is resized from 10 slots, which fills CPython's tuple free lists over a run.
+    d = math.lcm(*[c.denominator for c in values])
     return [c.numerator * (d // c.denominator) for c in values], d
 
 

@@ -14,8 +14,10 @@ Sturm count over the rationals), which therefore live with the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import Callable
 
 from laguerreflow import AlphaParam, Poly, XiParam
 from laguerreflow.basis import _hermite_ints, _monic_laguerre_ints
@@ -96,12 +98,13 @@ def fraction_shift(f: Poly, c: Fraction) -> Poly:
     return Poly(cs)
 
 
-def reference_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of f in the open interval (lo, hi), lo < hi.
+def open_counter(f: Poly) -> Callable[[Fraction, Fraction], int]:
+    """count(lo, hi): distinct real roots of f in the open interval (lo, hi), lo < hi.
 
     Sturm's theorem on the square-free part g over the rationals: the chain is
     g, g', then minus each Euclidean remainder, and V(lo) - V(hi) counts the
-    roots in (lo, hi]; a root at hi is then taken off.
+    roots in (lo, hi]; a root at hi is then taken off. The chain is built once,
+    and each point's variations are kept, since bisection reads each point twice.
     """
     g = square_free(f)
     chain = [g, derivative(g)]
@@ -109,11 +112,40 @@ def reference_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
         chain.append(-poly_divmod(chain[-2], chain[-1])[1])
     chain.pop()
 
+    @functools.lru_cache(maxsize=None)
     def variations(x: Fraction) -> int:
         signs = [v > 0 for v in (e(x) for e in chain) if v != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    return variations(lo) - variations(hi) - (g(hi) == 0)
+    return lambda lo, hi: variations(lo) - variations(hi) - (g(hi) == 0)
+
+
+def reference_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of f in the open interval (lo, hi), lo < hi."""
+    return open_counter(f)(lo, hi)
+
+
+def reference_root_cells(f: Poly) -> list[tuple[Fraction, Fraction]]:
+    """Sorted cells [lo, hi], one per distinct real root of nonconstant f.
+
+    Rational bisection of (-M, M), M the Cauchy bound, on open Sturm counts: a
+    cell with lo < hi holds one root in (lo, hi), and a root on a midpoint m is
+    the cell [m, m].
+    """
+    count = open_counter(f)
+    bound = cauchy_root_bound(f)
+    cells, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = count(lo, hi)
+        if n == 1:
+            cells.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            if f(mid) == 0:
+                cells.append((mid, mid))
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(cells)
 
 
 def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:

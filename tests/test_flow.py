@@ -246,15 +246,23 @@ def test_lemma_windows_build_no_poly(monkeypatch):
     ]
     expected = [call() for call in calls]  # warms the radius caches
     built = []
-    construct = Poly.__init__
+    construct, from_ints = Poly.__init__, Poly._from_ints
 
     def counting(self, coeffs=()):
         built.append(coeffs)
         construct(self, coeffs)
 
+    def counting_ints(cls, nums, den):
+        built.append((nums, den))
+        return from_ints(nums, den)
+
+    # Both constructors: the literal one and the kernels' integer one.
     monkeypatch.setattr(Poly, "__init__", counting)
+    monkeypatch.setattr(Poly, "_from_ints", classmethod(counting_ints))
     assert [call() for call in calls] == expected
     assert built == []
+    heat_semigroup(p, alpha, rung)  # a flow that does build its Poly is counted
+    assert len(built) == 1
 
 
 def test_semigroup_check_pins():

@@ -236,6 +236,38 @@ def test_confirmed_cells_skip_the_chain(monkeypatch):
         assert len(degrees) == 2 * ctx.distinct, f
 
 
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [-23, 1, Fraction(7, 2), 9, 71],
+        [-71, -9, Fraction(-7, 2), -1, 23],
+        [Fraction(-37, 2), Fraction(3, 2), 64],
+        # The largest |root| lies past half the root bound, inside its factor-of-2 slack.
+        [-16, 71],
+        [-87, 28],
+        [-44, -28, 32, 74],
+        [Fraction(-128, 3), -29, Fraction(-25, 3), 31, 68],
+    ],
+)
+def test_proposals_off(monkeypatch, roots):
+    # With no proposal every interval takes the Sturm split, the root-bound skip
+    # and the one-root bisection: the paths float proposals otherwise hide.
+    monkeypatch.setattr(realroot, "_proposals", lambda *args: [])
+    f = Poly.from_roots([(r, 1) for r in roots])
+    assert_same_cells(f)
+    ctx = _RootContext(f.numerators()[0])
+    for width in WIDTHS:
+        cells = ctx.isolate(width)
+        assert len(cells) == len(roots)
+        assert all(iv.lo < r <= iv.hi for iv, r in zip(cells, sorted(roots))), (roots, width)
+
+
+def test_proposals_off_on_theorem_images(monkeypatch):
+    monkeypatch.setattr(realroot, "_proposals", lambda *args: [])
+    for f in theorem_images(10, 40):
+        assert_same_cells(f)
+
+
 def test_more_confirmed_cells_than_the_count_raises():
     # Roots off every grid point, so each proposal confirms its cell.
     roots = [(Fraction(1, 3), 1), (Fraction(5, 7), 1), (Fraction(11, 5), 1)]

@@ -412,6 +412,55 @@ def test_numerators_round_trip(f):
         assert (nums, d) == ([], 1)
 
 
+small_ints = st.integers(min_value=-64, max_value=64)
+# Denominators of both signs, small, 30-digit, and 60-digit (the product of two).
+nonzero_dens = st.one_of(
+    small_ints, digits30, st.integers(min_value=-(10**60), max_value=10**60)
+).filter(bool)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(small_ints, digits30), max_size=7), nonzero_dens)
+@example([0, 0], 7)
+@example([0, 0], -(10**30))
+@example([6, -4, 2, 0], -10)
+@example([3, 0, -9], 3**60)
+def test_integer_constructor_matches_the_literal_one(nums, den):
+    f, g = Poly._from_ints(nums, den), Poly([Fraction(c, den) for c in nums])
+    assert f == g and hash(f) == hash(g)
+    assert f.coeffs == g.coeffs and f.numerators() == g.numerators()
+    assert str(f) == str(g) and poly_literal(f) == poly_literal(g)
+    assert f.is_zero == g.is_zero and (f.is_zero or f.degree() == g.degree())
+    # The stored pair: den > 0, lowest terms, a nonzero top numerator, plain ints.
+    assert f.den > 0 and math.gcd(f.den, *f.nums) == 1 and (not f.nums or f.nums[-1])
+    assert type(f.nums) is tuple and all(type(c) is int for c in (f.den, *f.nums))
+    if not any(nums):
+        assert (f.nums, f.den) == ((), 1)
+
+
+def test_integer_constructor_normalizes_sign_and_content():
+    f = Poly._from_ints([6, -4, 2, 0], -10)
+    assert (f.nums, f.den) == ((-3, 2, -1), 5)
+    assert f == Poly([Fraction(-3, 5), Fraction(2, 5), Fraction(-1, 5)])
+    assert (Poly._from_ints([0, 0], -9).nums, Poly._from_ints([0, 0], -9).den) == ((), 1)
+    assert Poly._from_ints([0, 0], 4) == Poly([0, 0]) == Poly()
+    # laguerre(1, 0) = 1 - x arrives as [-1, 1] over -1.
+    assert (Poly._from_ints([-1, 1], -1).nums, Poly._from_ints([-1, 1], -1).den) == ((1, -1), 1)
+
+
+def test_stored_pair_is_not_shared():
+    f = Poly([Fraction(1, 2), 3])
+    nums, d = f.numerators()
+    nums[0] = 99
+    nums.append(5)
+    assert f.numerators() == ([1, 6], 2) and (f.nums, f.den) == ((1, 6), 2)
+    assert f == Poly([Fraction(1, 2), 3]) and f.coeffs == (Fraction(1, 2), Fraction(3))
+    assert f.coeffs is f.coeffs  # built once
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        f.coeffs = (Fraction(1),)
+    assert f.coeffs == (Fraction(1, 2), Fraction(3))
+
+
 @settings(max_examples=50)
 @given(nonzero_polys)
 def test_square_free_divides_and_is_square_free(f):

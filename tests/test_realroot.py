@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laguerreflow import (
@@ -28,7 +28,13 @@ from laguerreflow import (
     random_real_rooted,
     scaled_hermite,
 )
-from laguerreflow.realroot import _RootContext, _cauchy_bound, _float_roots, _primitive
+from laguerreflow.realroot import (
+    _RootContext,
+    _cauchy_bound,
+    _float_roots,
+    _positive_root_bound,
+    _primitive,
+)
 from reference import cauchy_root_bound, fraction_shift, monic, square_free
 
 root_values = st.fractions(min_value=-6, max_value=6, max_denominator=10)
@@ -220,6 +226,30 @@ def test_integer_cauchy_bound_cases():
         assert _cauchy_bound(_primitive(f.numerators()[0])) == cauchy_root_bound(f)
     assert _cauchy_bound((10**400, 0, 1)) == 10**400 + 1
     assert _cauchy_bound((0, 0, -2)) == 1
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(root_values | st.integers(-130, 130).map(Fraction), min_size=1, max_size=5),
+    st.sampled_from([Fraction(1), Fraction(-3), Fraction(2, 7)]),
+)
+@example([Fraction(-37, 2), Fraction(3, 2), Fraction(64)], Fraction(1))
+@example([Fraction(-23), Fraction(1), Fraction(7, 2), Fraction(9), Fraction(71)], Fraction(-3))
+def test_positive_root_bound_lies_above_every_positive_root(roots, lead):
+    # Isolation skips the evaluation past this bound, so a root at or above it
+    # would be lost; only proposals-off isolation reaches that skip.
+    ints = Poly.from_roots([(r, 1) for r in roots], lead=lead).numerators()[0]
+    bound = _positive_root_bound(tuple(ints))
+    positive = [r for r in roots if r > 0]
+    assert all(r < bound for r in positive), (roots, bound)
+    assert bound & (bound - 1) == 0 and (bound == 0) == (not positive)
+
+
+def test_positive_root_bound_rounds_up():
+    # Kioustelidis for these roots is 2 * 64 at the constant term, rounded up.
+    roots = [(Fraction(-37, 2), 1), (Fraction(3, 2), 1), (64, 1)]
+    assert _positive_root_bound(tuple(Poly.from_roots(roots).numerators()[0])) == 128
+    assert _positive_root_bound((5, 1)) == 0 and _positive_root_bound((-1, 1)) == 2
 
 
 def test_isolate_sqrt2():
