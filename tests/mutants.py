@@ -2,14 +2,16 @@
 
 Run from the repository root, with the test extras installed:
 
-    python tests/mutants.py                 # every mutant, one after another
-    python tests/mutants.py NAME [NAME ...] # only these
+    python tests/mutants.py
 
 Each mutant replaces one exact text in one source file. The script copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies
 the mutant there, and runs ``pytest -x`` on the named test files in that copy,
-so the checkout itself is never changed. A mutant is killed when pytest
-reports failed tests (exit status 1). The script exits 1 if any mutant
+so the checkout itself is never changed. First it runs each distinct set of
+test files once on an unmutated copy: they must pass there, or a failure
+unrelated to a mutant would count as a kill ("baseline fails"). A mutant is
+then killed when pytest reports failed tests (exit status 1). The mutants run
+one after another. The script exits 1 if a baseline fails, if any mutant
 survives, if pytest ends any other way, or if an old text is not found exactly
 once (the table has gone stale), and 0 when every mutant is killed.
 
@@ -18,7 +20,6 @@ The file is not collected by the tier-1 run, whose files match ``test_*.py``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -131,60 +132,68 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> tuple[bool, str]:
-    """(killed, detail) for one mutant, tested in a fresh temporary copy."""
-    source = (ROOT / "src" / "laguerreflow" / mutant.file).read_text()
-    found = source.count(mutant.old)
-    if found != 1:
-        return False, f"old text found {found} times in {mutant.file}, not once"
+def pytest_in_copy(tests: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int | None, str]:
+    """(pytest's exit status, its last lines) for ``tests`` in a fresh temporary
+    copy, with ``mutant`` applied when given; the status is None when the copy's
+    tests would import another copy of the package."""
     with tempfile.TemporaryDirectory(prefix="laguerreflow-mutant-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        (copy / "src" / "laguerreflow" / mutant.file).write_text(
-            source.replace(mutant.old, mutant.new)
-        )
+        if mutant is not None:
+            target = copy / "src" / "laguerreflow" / mutant.file
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        # An installed copy of the package must not shadow the mutated one.
+        # An installed copy of the package must not shadow the copied one.
         where = subprocess.run(
             [sys.executable, "-c", "import laguerreflow; print(laguerreflow.__file__)"],
             cwd=copy, env=env, capture_output=True, text=True,
         ).stdout.strip()
         if not Path(where).is_relative_to(copy):
-            return False, f"the tests would import laguerreflow from {where!r}, not the copy"
+            return None, f"the tests would import laguerreflow from {where!r}, not the copy"
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy,
             env=env,
             capture_output=True,
             text=True,
         )
-    if done.returncode == 1:
+    return done.returncode, "\n".join(done.stdout.splitlines()[-5:] + done.stderr.splitlines()[-5:])
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, detail) for one mutant, tested in a fresh temporary copy."""
+    found = (ROOT / "src" / "laguerreflow" / mutant.file).read_text().count(mutant.old)
+    if found != 1:
+        return False, f"old text found {found} times in {mutant.file}, not once"
+    status, tail = pytest_in_copy(mutant.tests, mutant)
+    if status == 1:
         return True, "killed"
-    if done.returncode == 0:
+    if status == 0:
         return False, "SURVIVED: its tests pass"
-    tail = "\n".join(done.stdout.splitlines()[-5:] + done.stderr.splitlines()[-5:])
-    return False, f"pytest exited {done.returncode}, not a test failure:\n{tail}"
+    return False, tail if status is None else f"pytest exited {status}, not a test failure:\n{tail}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[name] for name in args.names] or list(MUTANTS)
+def main() -> int:
     failures = 0
-    for m in chosen:
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
+        start = time.perf_counter()
+        status, tail = pytest_in_copy(tests)
+        if status != 0:
+            failures += 1
+            print(f"baseline fails: {' '.join(tests)} exited {status} unmutated:\n{tail}")
+        else:
+            print(f"baseline passes: {' '.join(tests)} ({time.perf_counter() - start:.1f} s)")
+    if failures:
+        return 1
+    for m in MUTANTS:
         start = time.perf_counter()
         killed, detail = run(m)
         failures += not killed
         print(f"{m.name}: {detail} ({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 
 

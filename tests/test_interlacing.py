@@ -2,16 +2,20 @@
 
 T sends x^n to (-1)^n n! L_n^alpha(x) = monic_laguerre(n, alpha). It maps
 polynomials with every root in I = [0, inf) to real-rooted ones (Fisk, cited in
-PAPER.md), and it keeps the degree and the leading coefficient. For such a
-linear map, Fisk ("Polynomials, roots, and interlacing", arXiv math/0612833,
-ch. 1) shows that interlacing in I is kept too. The argument: if f has simple
-roots in I, then f' interlaces f, and f - b*f' keeps every root in I for all
-b >= 0 (each root moves right, towards the next root of f'); so T(f) - b*T(f')
-is real-rooted for every b >= 0, and with deg T(f') = deg T(f) - 1 and leading
-coefficients of one sign that forces T(f') to interlace T(f).
+PAPER.md), and it keeps the degree and the leading coefficient. Fisk
+("Polynomials, roots, and interlacing", arXiv math/0612833, ch. 1) states that
+such linear maps keep interlacing in I too; the theorem's number and exact
+hypotheses have not been checked against the text. No argument is derived
+here. That f - b*f' keeps its roots in I for every b >= 0, so that
+T(f) - b*T(f') is real-rooted for every b >= 0, does not by itself force
+interlacing: F = x^2 - 1 and G = x + 5 have F - b*G real-rooted for every
+b >= 0, yet G's root lies outside F's (Hermite-Kakeya-Obreschkoff needs
+combinations of both signs). The property is an empirical oracle: it held in
+1,500 of 1,500 draws with nonnegative roots.
 
-So for f with simple nonnegative roots, T(f) has simple real roots and T(f')
-has exactly one root strictly between each two neighbours and none outside.
+The test checks that, for f with simple nonnegative roots, T(f) has simple real
+roots and T(f') has exactly one root strictly between each two neighbours and
+none outside.
 The real-rootedness verdict does not check this: with roots of both signs the
 hypothesis fails, and ``T(f)`` can stay real-rooted while the interlacing
 breaks. The transform is the package's; every root count is the Fraction
