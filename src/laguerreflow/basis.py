@@ -7,7 +7,7 @@ over the rationals for any rational time h.
 
 The Laguerre and Hermite families and the basis-sum transform run over integer
 numerators with one common denominator (the transform takes its input's from
-``Poly.numerators``) and store them through ``Poly._from_ints``. L is applied by
+``Poly.nums``) and store them through ``Poly._from_ints``. L is applied by
 its coefficient formula, written once in ``_lowered``. The flow starts from the
 same numerators, in ``_flow_sums``: with f = nums / d and alpha = a/b it builds
 one integer series G_j = d * b^j * L^j f per polynomial and sums it at each
@@ -153,10 +153,9 @@ def heat_flows(f: Poly, alpha: AlphaParam, times: Iterable[RationalLike]) -> tup
     With f = nums / d, ``_flow_sums`` gives d * exp(-h*L) f as ints / den for
     each time, so each flow is those ints over den * d, one Poly per time.
     """
-    nums, d = f.numerators()
     return tuple(
-        Poly._from_ints(ints, den * d)
-        for ints, den in _flow_sums(nums, alpha, map(to_rational, times))
+        Poly._from_ints(ints, den * f.den)
+        for ints, den in _flow_sums(f.nums, alpha, map(to_rational, times))
     )
 
 
@@ -181,13 +180,12 @@ def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly
         return f
     n = f.degree()
     a, b = alpha.value.as_integer_ratio()
-    nums, d = f.numerators()
     acc = [0] * (n + 1)
-    for i, num in enumerate(nums):
+    for i, num in enumerate(f.nums):
         scale = num * b ** (n - i)
         for j, term in enumerate(_monic_laguerre_ints(i, a, b)):
             acc[j] += scale * term
-    result = Poly._from_ints(acc, d * b**n)
+    result = Poly._from_ints(acc, f.den * b**n)
     if verify:
         flowed = heat_semigroup(f, alpha, Fraction(1))
         if flowed != result:

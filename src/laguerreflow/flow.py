@@ -128,7 +128,7 @@ def _window_count(
     The flow sum of N gives d * v^n * the flow as integers over one
     denominator, and those integers are the multiple the count is taken on.
     """
-    nums = [0] * k + p.numerators()[0]
+    nums = (0,) * k + p.nums
     if centre:
         u, v = (-centre).as_integer_ratio()
         nums = _taylor_shift(nums, u, v)

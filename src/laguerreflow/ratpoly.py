@@ -6,7 +6,7 @@ one denominator den > 0 with gcd(den, *nums) = 1: the lcm form, as in FLINT's
 is exact: no floating point enters anywhere, so polynomial identity tests are
 fully reliable, and equal polynomials are equal pairs.
 
-The kernels in ``basis`` and ``realroot`` start from ``Poly.numerators`` and
+The kernels in ``basis`` and ``realroot`` read ``Poly.nums`` and ``den``, and
 hand their integers back to ``Poly._from_ints``, which normalizes them by one
 gcd; ``coeffs`` builds the Fractions on first read. ``_taylor_shift`` shifts
 integer numerators by u/v for the lemma windows: it scales them by powers of
@@ -165,10 +165,6 @@ class Poly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def numerators(self) -> tuple[list[int], int]:
-        """(nums, d), f = sum nums[i] * x^i / d: a fresh list of the stored pair's numerators."""
-        return list(self.nums), self.den
 
     # -- ring operations ----------------------------------------------
 

@@ -72,7 +72,8 @@ from .ratpoly import Poly, RationalLike, to_rational
 
 DEFAULT_WIDTH = Fraction(1, 2**20)
 
-# Integer polynomial, ascending degree, no trailing zeros.
+# Integer polynomial, ascending degree, no trailing zeros. Built from lists, as in
+# ratpoly: a tuple built from a generator is resized from 10 slots.
 Ints = tuple[int, ...]
 
 
@@ -206,13 +207,13 @@ def _grid(bound: Fraction, span: int, width: Fraction) -> tuple[int, int, int]:
 
 def _scaled(e: Ints, q: int) -> Ints:
     """e in y = q*x times q^deg > 0: its sign at a/2^s is e's sign at a/(q*2^s)."""
-    return tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e))
+    return tuple([c * q ** (len(e) - 1 - i) for i, c in enumerate(e)])
 
 
 def _primitive(coeffs: Sequence[int]) -> Ints:
     """Divide out the (positive) content; signs are unchanged."""
     content = math.gcd(*coeffs)
-    return tuple(c // content for c in coeffs)
+    return tuple([c // content for c in coeffs])
 
 
 def _neg_prem(a: Ints, b: Ints) -> list[int]:
@@ -267,7 +268,7 @@ def _exact_quotient(a: Ints, b: Ints) -> Ints:
 
 
 def _positive_lead(p: Ints) -> Ints:
-    return p if p[-1] > 0 else tuple(-c for c in p)
+    return p if p[-1] > 0 else tuple([-c for c in p])
 
 
 def _validated_bounds(
@@ -289,13 +290,13 @@ def count_real_roots(
     result and endpoints that happen to be multiple roots stay well-defined.
     """
     lo_q, hi_q = _validated_bounds(lo, hi)
-    return _RootContext(f.numerators()[0]).count(lo_q, hi_q)
+    return _RootContext(f.nums).count(lo_q, hi_q)
 
 
 def count_real_roots_open(f: Poly, lo: RationalLike, hi: RationalLike) -> int:
     """Distinct real roots in the open interval (lo, hi), finite endpoints."""
     lo_q, hi_q = _validated_bounds(to_rational(lo), to_rational(hi))
-    return _RootContext(f.numerators()[0]).count_open(lo_q, hi_q)
+    return _RootContext(f.nums).count_open(lo_q, hi_q)
 
 
 def _cauchy_bound(ints: Sequence[int]) -> Fraction:
@@ -320,7 +321,7 @@ class _RootContext:
     """The square-free part g of a nonzero f and g's Sturm chain, from one integer run.
 
     f is given by the integers of any nonzero multiple of it, ascending with
-    no trailing zeros, such as ``Poly.numerators()[0]``. ``f`` and
+    no trailing zeros, such as ``Poly.nums``. ``f`` and
     ``chain[0]`` = g are coprime integers with a positive leading
     coefficient, so g is a positive multiple of the monic square-free part of f.
     """
@@ -380,7 +381,7 @@ class _RootContext:
 
         # No root of g lies at or beyond pos, or at or below -neg.
         pos = _positive_root_bound(g)
-        neg = _positive_root_bound(tuple(-c if i % 2 else c for i, c in enumerate(g)))
+        neg = _positive_root_bound(tuple([-c if i % 2 else c for i, c in enumerate(g)]))
         # A cell of depth d_end is (lo, lo + 2p] at scale d_end, kept by its grid
         # numerator lo, -p*2^d_end plus a multiple of 2p. A cell with g nonzero
         # and of opposite signs at its edges holds a root.
@@ -486,7 +487,7 @@ def _prepared(f: Poly, width: RationalLike, query: str) -> tuple[_RootContext, F
     w = to_rational(width)
     if w <= 0:
         raise ValueError(f"{query} width must be positive")
-    return _RootContext(f.numerators()[0]), w
+    return _RootContext(f.nums), w
 
 
 def isolate_roots(f: Poly, width: RationalLike = DEFAULT_WIDTH) -> tuple[IsolatingInterval, ...]:

@@ -82,6 +82,18 @@ MUTANTS = (
         "the largest-root enclosure counts [-r, r], a root at -r included",
     ),
     Mutant(
+        "nudge-moves-down",
+        "realroot.py",
+        "a, b, m, s = 2 * a, 2 * b, 2 * m + step, s + 1",
+        "a, b, m, s = 2 * a, 2 * b, 2 * m - step, s + 1",
+        (
+            "tests/test_isolate_reference.py::test_root_corpus[dyadic-grid-proposals-on]",
+            "tests/test_isolate_reference.py::test_root_corpus[dyadic-grid-proposals-off]",
+            "tests/test_realroot.py",
+        ),
+        "items 5 and 7: a midpoint on a root moves up, as rational bisection's does",
+    ),
+    Mutant(
         "taylor-shift-drops-v-power",
         "ratpoly.py",
         "    return [c * v**j for j, c in enumerate(cs)]\n",

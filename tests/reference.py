@@ -153,7 +153,7 @@ def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:
 
     f has a real root; ``g(-r) == 0`` is read as ``f(-r) == 0``, which has the same roots.
     """
-    ctx = _RootContext(f.numerators()[0])
+    ctx = _RootContext(f.nums)
     total = ctx.distinct
 
     def inside(r: Fraction) -> int:

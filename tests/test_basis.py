@@ -147,7 +147,7 @@ def lowered(f: Poly, a: Fraction) -> Poly:
     ``_lowered`` applies b*L to f's numerators for a = num/b, so its level 1 is
     d * b * L f; a constant or zero f has no level 1, and L f = 0.
     """
-    nums, d = f.numerators()
+    nums, d = f.nums, f.den
     num, b = a.as_integer_ratio()
     series = basis._lowered(nums, num, b) + [[]]
     return Poly([Fraction(c, d * b) for c in series[1]])

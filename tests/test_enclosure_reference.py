@@ -128,7 +128,7 @@ def test_proposal_closes_the_bracket_with_two_counts(monkeypatch):
             continue
         calls.clear()
         largest_root_enclosure(f)
-        chain_length = len(realroot._RootContext(f.numerators()[0]).chain)
+        chain_length = len(realroot._RootContext(f.nums).chain)
         # Two symmetric counts, each at -r and r.
         assert len(calls) == 4 * chain_length, f
 
@@ -150,6 +150,6 @@ def test_adjacent_proposal_falls_back_to_bisection(monkeypatch):
             continue
         calls.clear()
         assert_same_enclosure(f, (DEFAULT_WIDTH,))
-        chain_length = len(realroot._RootContext(f.numerators()[0]).chain)
+        chain_length = len(realroot._RootContext(f.nums).chain)
         assert len(calls) > 4 * chain_length, f
     assert proposals

@@ -6,6 +6,7 @@ interval holds two or more roots, then bisection by the sign of g down to the
 width. ``_RootContext.isolate`` must return exactly its intervals.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,10 +19,14 @@ from laguerreflow import (
     AlphaParam,
     Poly,
     XiParam,
+    certify,
+    cli,
     count_real_roots_open,
     heat_semigroup,
+    isolate_roots,
     laguerre,
     laguerre_transform,
+    largest_root_enclosure,
     random_alpha,
     random_rational,
     random_real_rooted,
@@ -30,11 +35,18 @@ from laguerreflow import (
 from laguerreflow import realroot
 from laguerreflow.realroot import (
     IsolatingInterval,
+    RootCertificate,
     _RootContext,
     _sign_at_dyadic,
     _variations,
 )
-from reference import cauchy_root_bound, reference_count_open
+from reference import (
+    bisection_enclosure,
+    cauchy_root_bound,
+    open_counter,
+    reference_count_open,
+    square_free,
+)
 
 WIDTHS = (DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3), Fraction(4))
 
@@ -97,7 +109,7 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
 
 
 def assert_same_cells(f: Poly, widths=WIDTHS) -> None:
-    ctx = _RootContext(f.numerators()[0])
+    ctx = _RootContext(f.nums)
     for width in widths:
         assert ctx.isolate(width) == reference_isolate(ctx, width), (f, width)
 
@@ -203,7 +215,7 @@ def test_proposals_outside_the_cauchy_interval(monkeypatch):
 
     monkeypatch.setattr(realroot, "_float_roots", beyond)
     for f in theorem_images(9, 40):
-        m = float(realroot._cauchy_bound(_RootContext(f.numerators()[0]).g))
+        m = float(realroot._cauchy_bound(_RootContext(f.nums).g))
         assert_same_cells(f)
 
 
@@ -228,7 +240,7 @@ def test_confirmed_cells_skip_the_chain(monkeypatch):
 
     monkeypatch.setattr(realroot, "_sign_at_dyadic", recording)
     for f in theorem_images(6, 100) + tiny_alpha:
-        ctx = _RootContext(f.numerators()[0])
+        ctx = _RootContext(f.nums)
         degrees.clear()
         ctx.isolate(DEFAULT_WIDTH)
         assert degrees == [len(ctx.g) - 1] * len(degrees), f
@@ -255,7 +267,7 @@ def test_proposals_off(monkeypatch, roots):
     monkeypatch.setattr(realroot, "_proposals", lambda *args: [])
     f = Poly.from_roots([(r, 1) for r in roots])
     assert_same_cells(f)
-    ctx = _RootContext(f.numerators()[0])
+    ctx = _RootContext(f.nums)
     for width in WIDTHS:
         cells = ctx.isolate(width)
         assert len(cells) == len(roots)
@@ -271,7 +283,7 @@ def test_proposals_off_on_theorem_images(monkeypatch):
 def test_more_confirmed_cells_than_the_count_raises():
     # Roots off every grid point, so each proposal confirms its cell.
     roots = [(Fraction(1, 3), 1), (Fraction(5, 7), 1), (Fraction(11, 5), 1)]
-    ctx = _RootContext(Poly.from_roots(roots).numerators()[0])
+    ctx = _RootContext(Poly.from_roots(roots).nums)
     # A chain count of two: the three confirmed cells contradict it.
     ctx.distinct -= 1
     with pytest.raises(ArithmeticError):
@@ -281,11 +293,19 @@ def test_more_confirmed_cells_than_the_count_raises():
 # Standard families of the real-root literature (Rouillier & Zimmermann 2004),
 # checked against plain bisection and sympy, with open counts against the
 # Fraction Sturm count. They guard the paths that float proposals are to take
-# over from the Sturm chain: chain-free certify (ROADMAP item 2),
-# multiprecision proposals (item 3) and one root engine without the Sturm
-# split (item 4).
+# over from the Sturm chain: chain-free certify (ROADMAP item 3),
+# multiprecision proposals (item 4) and one root engine without the Sturm
+# split (item 5).
 def wilkinson(roots) -> Poly:
     return Poly.from_roots([(r, 1) for r in roots])
+
+
+def sympy_count_roots(f: Poly) -> int:
+    """Distinct real roots of f by sympy's ``count_roots``; skips without sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+    return p.count_roots()
 
 
 def mignotte(n: int, a: int) -> Poly:
@@ -303,19 +323,19 @@ def mignotte(n: int, a: int) -> Poly:
         (mignotte(13, 2**10), 3),
         (mignotte(24, 2**20), 4),
         # Laguerre roots crowd 0 and spread to about 4n: every cell must
-        # confirm for chain-free certify (item 2).
+        # confirm for chain-free certify (item 3).
         (laguerre(20, AlphaParam(0)), 20),
         (laguerre(20, AlphaParam(Fraction(7, 3))), 20),
         # b^20 = 10^320 puts the integers past float range while the roots stay
-        # small: only g's monic image proposes them (item 3).
+        # small: only g's monic image proposes them (item 4).
         (laguerre(20, AlphaParam(Fraction(1, 10**16))), 20),
         # Odd Hermite degree: a root at 0, the first midpoint, so isolation
-        # nudges (item 4).
+        # nudges (item 5).
         (scaled_hermite(21, XiParam(1)), 21),
         (scaled_hermite(21, XiParam(Fraction(5, 2))), 21),
         # A lemma window: x^5 * (x^2 + x + 1) flowed at h = 2^-20, five roots
         # within 2^-14 of 0 beside a complex pair, a non-real-rooted input that
-        # keeps the Sturm split (item 4).
+        # keeps the Sturm split (item 5).
         (
             heat_semigroup(
                 Poly([0, 0, 0, 0, 0, 1, 1, 1]), AlphaParam(Fraction(7, 3)), Fraction(1, 2**20)
@@ -326,12 +346,72 @@ def mignotte(n: int, a: int) -> Poly:
 )
 def test_wilkinson_and_mignotte(f, distinct):
     assert_same_cells(f)
-    assert _RootContext(f.numerators()[0]).distinct == distinct
+    assert _RootContext(f.nums).distinct == distinct
     # (0, 1) has roots on its ends for the Wilkinson and Hermite inputs; the
     # small window holds the lemma window's roots and the Mignotte pair at a = 2^20.
     for lo, hi in ((Fraction(0), Fraction(1)), (Fraction(-1, 2**14), Fraction(1, 2**14))):
         assert count_real_roots_open(f, lo, hi) == reference_count_open(f, lo, hi), (f, lo, hi)
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
-    assert p.count_roots() == distinct
+    assert sympy_count_roots(f) == distinct
+
+
+# The rest of ROADMAP item 7's corpus: inputs on the paths that items 3 to 6
+# are to change, each checked through the four public root queries, once with
+# the float proposals and once without them, against plain bisection and sympy.
+ROOT_CORPUS = {
+    # Items 4 and 6: at alpha = 1/10^300 the image's integers pass float range
+    # while its roots stay small, so only g's monic image proposes them.
+    "tiny-alpha-image": laguerre_transform(
+        Poly.from_roots([(Fraction(i, 3), 1) for i in range(1, 7)]),
+        AlphaParam(Fraction(1, 10**300)),
+    ),
+    # Items 4 and 6: M is about 10^300, so each root is about 1,020 levels deep.
+    "huge-roots": Poly.from_roots([(Fraction(1, 10**300), 1), (10**300, 1)]),
+    # Item 3: g is not f, and the chain is f's sequence divided by gcd(f, f').
+    "repeated-mixed-signs": Poly.from_roots([(Fraction(-3, 2), 2), (Fraction(1, 3), 3), (5, 1)]),
+    # Item 5: M = 2, so the first midpoint, 0, is a root, and so is its first
+    # nudge, 1: isolation takes the nudge path with proposals on and off.
+    "dyadic-grid": Poly.from_roots([(-1, 1), (0, 1), (1, 1)]),
+    # Items 4 and 5: two roots near 2^-30 that only cells 2^-701 wide separate.
+    "mignotte-48": mignotte(48, 2**30),
+}
+
+
+@functools.cache
+def corpus_reference(name: str) -> tuple[str, tuple[Fraction, Fraction], list]:
+    """(certificate bytes, enclosure, [(lo, hi, open count)]) by plain bisection."""
+    f = ROOT_CORPUS[name]
+    ctx = _RootContext(f.nums)
+    cells = reference_isolate(ctx, DEFAULT_WIDTH)
+    g_degree = square_free(f).degree()
+    certificate = RootCertificate(
+        degree=f.degree(),
+        distinct_real_roots=len(cells),
+        is_real_rooted=len(cells) == g_degree,
+        is_simple=g_degree == f.degree(),
+        intervals=cells,
+    )
+    count = open_counter(f)
+    # Each cell, and two windows whose ends are roots of the dyadic-grid input.
+    windows = [(iv.lo, iv.hi) for iv in cells]
+    windows += [(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1))]
+    return (
+        cli._json_text(certificate),
+        bisection_enclosure(f, DEFAULT_WIDTH),
+        [(lo, hi, count(lo, hi)) for lo, hi in windows],
+    )
+
+
+@pytest.mark.parametrize("proposals", [True, False], ids=["proposals-on", "proposals-off"])
+@pytest.mark.parametrize("name", list(ROOT_CORPUS))
+def test_root_corpus(monkeypatch, name, proposals):
+    f = ROOT_CORPUS[name]
+    certificate, enclosure, windows = corpus_reference(name)
+    if not proposals:
+        monkeypatch.setattr(realroot, "_proposals", lambda *args: [])
+    cert = certify(f)
+    assert cli._json_text(cert) == certificate
+    assert cli._json_text(isolate_roots(f)) == cli._json_text(cert.intervals)
+    assert largest_root_enclosure(f) == enclosure
+    for lo, hi, n in windows:
+        assert count_real_roots_open(f, lo, hi) == n, (lo, hi)
+    assert sympy_count_roots(f) == cert.distinct_real_roots

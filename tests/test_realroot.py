@@ -66,7 +66,7 @@ INTEGER_CONTEXT_CASES = {
 @pytest.mark.parametrize("name", sorted(INTEGER_CONTEXT_CASES))
 def test_integer_context_matches_poly_path(name):
     f = INTEGER_CONTEXT_CASES[name]
-    nums = f.numerators()[0]
+    nums = f.nums
     poly_path = _RootContext(nums)
     ends = [None] + [Fraction(e) for e in (-3, Fraction(-1, 2), 0, Fraction(1, 3), 2, 5)]
     width = Fraction(1, 1024)
@@ -210,8 +210,8 @@ coefficients = st.fractions(max_denominator=10**6) | st.integers(-(10**400), 10*
 @given(st.lists(coefficients, min_size=2, max_size=8).filter(lambda cs: cs[-1] != 0))
 def test_integer_cauchy_bound_matches_reference(coeffs):
     f = Poly(coeffs)
-    assert _cauchy_bound(_primitive(f.numerators()[0])) == cauchy_root_bound(f)
-    assert _cauchy_bound(f.numerators()[0]) == cauchy_root_bound(f)
+    assert _cauchy_bound(_primitive(f.nums)) == cauchy_root_bound(f)
+    assert _cauchy_bound(f.nums) == cauchy_root_bound(f)
 
 
 def test_integer_cauchy_bound_cases():
@@ -223,7 +223,7 @@ def test_integer_cauchy_bound_cases():
         Poly([1, Fraction(-(10**400), 7), 0, 3]),
     ]
     for f in cases:
-        assert _cauchy_bound(_primitive(f.numerators()[0])) == cauchy_root_bound(f)
+        assert _cauchy_bound(_primitive(f.nums)) == cauchy_root_bound(f)
     assert _cauchy_bound((10**400, 0, 1)) == 10**400 + 1
     assert _cauchy_bound((0, 0, -2)) == 1
 
@@ -238,8 +238,8 @@ def test_integer_cauchy_bound_cases():
 def test_positive_root_bound_lies_above_every_positive_root(roots, lead):
     # Isolation skips the evaluation past this bound, so a root at or above it
     # would be lost; only proposals-off isolation reaches that skip.
-    ints = Poly.from_roots([(r, 1) for r in roots], lead=lead).numerators()[0]
-    bound = _positive_root_bound(tuple(ints))
+    ints = Poly.from_roots([(r, 1) for r in roots], lead=lead).nums
+    bound = _positive_root_bound(ints)
     positive = [r for r in roots if r > 0]
     assert all(r < bound for r in positive), (roots, bound)
     assert bound & (bound - 1) == 0 and (bound == 0) == (not positive)
@@ -248,7 +248,7 @@ def test_positive_root_bound_lies_above_every_positive_root(roots, lead):
 def test_positive_root_bound_rounds_up():
     # Kioustelidis for these roots is 2 * 64 at the constant term, rounded up.
     roots = [(Fraction(-37, 2), 1), (Fraction(3, 2), 1), (64, 1)]
-    assert _positive_root_bound(tuple(Poly.from_roots(roots).numerators()[0])) == 128
+    assert _positive_root_bound(Poly.from_roots(roots).nums) == 128
     assert _positive_root_bound((5, 1)) == 0 and _positive_root_bound((-1, 1)) == 2
 
 
@@ -455,7 +455,7 @@ def test_context_square_free_part_matches_fraction_reference(a, b, c, lead):
     f = a * b * b * c * c * c * Poly([lead])
     if f.is_zero:
         return
-    assert monic(Poly(_RootContext(f.numerators()[0]).g)) == square_free(f)
+    assert monic(Poly(_RootContext(f.nums).g)) == square_free(f)
 
 
 @settings(max_examples=40)
