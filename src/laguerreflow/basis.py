@@ -176,7 +176,7 @@ def laguerre_transform(f: Poly, alpha: AlphaParam, verify: bool = False) -> Poly
     ``verify=True`` the result is recomputed as heat_semigroup(f, alpha, 1) and
     the two paths are required to agree exactly, as a built-in self-test.
     """
-    if f.is_zero:
+    if not f.nums:
         return f
     n = f.degree()
     a, b = alpha.value.as_integer_ratio()

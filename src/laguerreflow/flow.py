@@ -107,7 +107,7 @@ def _require_k(k: int) -> None:
 
 def _require_k_and_cofactor(k: int, p: Poly) -> None:
     _require_k(k)
-    if p.is_zero or p.nums[0] == 0:
+    if not p.nums or p.nums[0] == 0:
         raise ValueError("p(0) must be nonzero (x must not divide p)")
 
 

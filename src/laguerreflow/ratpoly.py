@@ -92,11 +92,9 @@ class Poly:
     den: int
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        nums, den = _over_lcm([to_rational(c) for c in coeffs])
-        while nums and nums[-1] == 0:
-            nums.pop()
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        stored = Poly._from_ints(*_over_lcm([to_rational(c) for c in coeffs]))
+        object.__setattr__(self, "nums", stored.nums)
+        object.__setattr__(self, "den", stored.den)
 
     # -- constructors -------------------------------------------------
 
@@ -141,10 +139,6 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, ascending; built on first read."""
         return tuple([Fraction(c, self.den) for c in self.nums])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __bool__(self) -> bool:
         return bool(self.nums)

@@ -482,7 +482,7 @@ class _RootContext:
 
 def _prepared(f: Poly, width: RationalLike, query: str) -> tuple[_RootContext, Fraction]:
     """f's root context and the width, for a query that needs a nonconstant f and width > 0."""
-    if f.is_zero or f.degree() == 0:
+    if len(f.nums) < 2:
         raise ValueError(f"{query} needs a nonconstant polynomial")
     w = to_rational(width)
     if w <= 0:

@@ -141,6 +141,14 @@ MUTANTS = (
         ("tests/test_ratpoly.py",),
         "item 9: a Poly's denominator is positive",
     ),
+    Mutant(
+        "normalizer-keeps-trailing-zeros",
+        "ratpoly.py",
+        "        while ns and ns[-1] == 0:\n",
+        "        while False:\n",
+        ("tests/test_ratpoly.py",),
+        "item 9: every Poly, from a literal or a kernel, is stored by one normalizer",
+    ),
 )
 
 

@@ -10,6 +10,11 @@ and the heat flow sums one series per polynomial into coefficient lists. The
 tests check those kernels against the textbook rational operations below
 (single monomial moments, single inner products from an expanded product, a
 Sturm count over the rationals), which therefore live with the tests.
+
+Every root count here reads ``sturm_chain``: sympy's Sturm sequence of the
+square-free part, built over the rationals by sympy's own gcd and Euclidean
+remainders, so it shares no code with the package's integer remainder
+sequence. The signs and variations that read it are this module's own.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Sequence
+
+import pytest
 
 from laguerreflow import AlphaParam, Poly, XiParam
 from laguerreflow.basis import _hermite_ints, _monic_laguerre_ints
 from laguerreflow.ratpoly import RationalLike, to_rational
-from laguerreflow.realroot import _RootContext
 
 
 def derivative(f: Poly) -> Poly:
@@ -32,9 +38,9 @@ def derivative(f: Poly) -> Poly:
 
 def poly_divmod(f: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     """Exact polynomial division: f = q * divisor + r with deg r < deg divisor."""
-    if divisor.is_zero:
+    if not divisor:
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero or len(f.coeffs) < len(divisor.coeffs):
+    if not f or len(f.coeffs) < len(divisor.coeffs):
         return Poly(), f
     rem = list(f.coeffs)
     dcs = divisor.coeffs
@@ -53,32 +59,32 @@ def poly_divmod(f: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
 
 def monic(f: Poly) -> Poly:
-    if f.is_zero:
+    if not f:
         raise ValueError("the zero polynomial cannot be made monic")
     return f * (1 / f.leading())
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor (Euclid over the rationals)."""
-    while not g.is_zero:
+    while g:
         f, g = g, poly_divmod(f, g)[1]
-    if f.is_zero:
+    if not f:
         return f
     return monic(f)
 
 
 def square_free(f: Poly) -> Poly:
     """Monic f / gcd(f, f'): same distinct roots as f, all simple."""
-    if f.is_zero:
+    if not f:
         raise ValueError("the zero polynomial has no square-free part")
     q, r = poly_divmod(f, gcd(f, derivative(f)))
-    assert r.is_zero
+    assert not r
     return monic(q)
 
 
 def cauchy_root_bound(f: Poly) -> Fraction:
     """Strict bound M = 1 + max|a_i/a_n|: every root satisfies |root| < M."""
-    if f.is_zero or f.degree() == 0:
+    if not f or f.degree() == 0:
         raise ValueError("root bound needs a nonconstant polynomial")
     lead = abs(f.leading())
     others = [abs(c) / lead for c in f.coeffs[:-1]]
@@ -98,26 +104,65 @@ def fraction_shift(f: Poly, c: Fraction) -> Poly:
     return Poly(cs)
 
 
+@functools.cache
+def sturm_chain(f: Poly) -> tuple[tuple[int, ...], ...]:
+    """The Sturm chain of f's square-free part g, each element as ascending integers.
+
+    sympy's ``sturm`` takes the monic square-free part g over the rationals,
+    then g', then minus each Euclidean remainder. Each element is multiplied by
+    the lcm of its denominators, a positive factor, so its signs are unchanged;
+    the first element is g with a positive leading coefficient. Skips without sympy.
+    """
+    sympy = pytest.importorskip("sympy")
+    p = sympy.Poly.from_list(list(reversed(f.nums)), sympy.Symbol("x"), domain=sympy.QQ)
+    chain = []
+    for e in p.sturm():
+        cs = e.rep.to_list()[::-1]
+        d = math.lcm(*[c.denominator for c in cs])
+        ints = [c.numerator * (d // c.denominator) for c in cs]
+        content = math.gcd(*ints)
+        chain.append(tuple([c // content for c in ints]))
+    return tuple(chain)
+
+
+def sign_at(ints: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial (ascending) at x: den^n * value by Horner's rule."""
+    num, den = x.numerator, x.denominator
+    total, power = 0, 1
+    for c in reversed(ints):
+        total = total * num + c * power
+        power *= den
+    return (total > 0) - (total < 0)
+
+
+def sign_at_dyadic(ints: Sequence[int], num: int, shift: int) -> int:
+    """Sign of the integer polynomial (ascending) at num/2^shift, by Horner's rule with shifts."""
+    total = 0
+    for i, c in enumerate(reversed(ints)):
+        total = total * num + (c << i * shift)
+    return (total > 0) - (total < 0)
+
+
+def variations(signs: Iterable[int]) -> int:
+    """Sign changes along a sequence of signs, zeros dropped."""
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
 def open_counter(f: Poly) -> Callable[[Fraction, Fraction], int]:
     """count(lo, hi): distinct real roots of f in the open interval (lo, hi), lo < hi.
 
-    Sturm's theorem on the square-free part g over the rationals: the chain is
-    g, g', then minus each Euclidean remainder, and V(lo) - V(hi) counts the
-    roots in (lo, hi]; a root at hi is then taken off. The chain is built once,
-    and each point's variations are kept, since bisection reads each point twice.
+    Sturm's theorem on ``sturm_chain(f)``: V(lo) - V(hi) counts the roots in
+    (lo, hi], and a root at hi is then taken off. Each point's variations are
+    kept, since bisection reads each point twice.
     """
-    g = square_free(f)
-    chain = [g, derivative(g)]
-    while not chain[-1].is_zero:
-        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
-    chain.pop()
+    chain = sturm_chain(f)
 
     @functools.lru_cache(maxsize=None)
-    def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (e(x) for e in chain) if v != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    def at(x: Fraction) -> int:
+        return variations(sign_at(e, x) for e in chain)
 
-    return lambda lo, hi: variations(lo) - variations(hi) - (g(hi) == 0)
+    return lambda lo, hi: at(lo) - at(hi) - (sign_at(chain[0], hi) == 0)
 
 
 def reference_count_open(f: Poly, lo: Fraction, hi: Fraction) -> int:
@@ -151,18 +196,21 @@ def reference_root_cells(f: Poly) -> list[tuple[Fraction, Fraction]]:
 def bisection_enclosure(f: Poly, w: Fraction) -> tuple[Fraction, Fraction]:
     """Enclosure [lo, hi] of max |root| by Fraction bisection of (0, M] on symmetric counts.
 
-    f has a real root; ``g(-r) == 0`` is read as ``f(-r) == 0``, which has the same roots.
+    f has a real root. The counts read ``sturm_chain(f)``: its variations count
+    (-r, r], and g's sign at -r adds a root there.
     """
-    ctx = _RootContext(f.nums)
-    total = ctx.distinct
+    chain = sturm_chain(f)
 
     def inside(r: Fraction) -> int:
         # distinct roots in [-r, r]
-        return ctx.count(-r, r) + (f(-r) == 0)
+        minus = [sign_at(e, -r) for e in chain]
+        return variations(minus) - variations(sign_at(e, r) for e in chain) + (minus[0] == 0)
 
+    lo, hi = Fraction(0), cauchy_root_bound(f)
+    # Every root lies in (-M, M).
+    total = inside(hi)
     if f(0) == 0 and total == 1:
         return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), cauchy_root_bound(f)
     while hi - lo > w:
         mid = (lo + hi) / 2
         if inside(mid) == total:
@@ -184,7 +232,7 @@ def reference_heat_semigroup(f: Poly, alpha: AlphaParam, h: RationalLike) -> Pol
     lowers degree by exactly one. Degree and leading coefficient are preserved.
     """
     step = to_rational(h)
-    if f.is_zero or step == 0:
+    if not f or step == 0:
         return f
     acc = f
     power = f

@@ -18,8 +18,8 @@ roots and T(f') has exactly one root strictly between each two neighbours and
 none outside.
 The real-rootedness verdict does not check this: with roots of both signs the
 hypothesis fails, and ``T(f)`` can stay real-rooted while the interlacing
-breaks. The transform is the package's; every root count is the Fraction
-Sturm count of ``reference.py``.
+breaks. The transform is the package's; every root count is the Sturm count
+of ``reference.py``, on sympy's chain of the square-free part.
 """
 
 import random

@@ -1,9 +1,11 @@
 """Isolation against plain bisection: the same cells, byte for byte.
 
 ``reference_isolate`` is the isolation loop before the root-bound skip and
-the confirmed cells, kept verbatim: Sturm splits of (-M, M] while an
-interval holds two or more roots, then bisection by the sign of g down to the
-width. ``_RootContext.isolate`` must return exactly its intervals.
+the confirmed cells: Sturm splits of (-M, M] while an interval holds two or
+more roots, then bisection by the sign of g down to the width. It counts on
+``reference.sturm_chain``, sympy's Sturm chain of the square-free part, with
+``reference``'s own signs and variations, so it shares no chain, sign or count
+with the package. ``_RootContext.isolate`` must return exactly its intervals.
 """
 
 import functools
@@ -33,33 +35,29 @@ from laguerreflow import (
     scaled_hermite,
 )
 from laguerreflow import realroot
-from laguerreflow.realroot import (
-    IsolatingInterval,
-    RootCertificate,
-    _RootContext,
-    _sign_at_dyadic,
-    _variations,
-)
+from laguerreflow.realroot import IsolatingInterval, RootCertificate, _RootContext
 from reference import (
     bisection_enclosure,
     cauchy_root_bound,
     open_counter,
     reference_count_open,
+    sign_at_dyadic,
     square_free,
+    sturm_chain,
+    variations,
 )
 
 WIDTHS = (DEFAULT_WIDTH, Fraction(1, 1000), Fraction(1, 3), Fraction(4))
 
 
-def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInterval, ...]:
-    if ctx.distinct == 0:
-        return ()
-    bound = cauchy_root_bound(Poly(ctx.g))
+def reference_isolate(f: Poly, width: Fraction) -> tuple[IsolatingInterval, ...]:
+    chain = sturm_chain(f)
+    bound = cauchy_root_bound(Poly(chain[0]))
     p, q = bound.numerator, bound.denominator
     # In y = q*x each element is multiplied by q^deg > 0 and the endpoint
     # a/(q*2^s) becomes a/2^s, so evaluations scale by powers of two only.
     chain = tuple(
-        tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in ctx.chain
+        tuple(c * q ** (len(e) - 1 - i) for i, c in enumerate(e)) for e in chain
     )
     g = chain[0]
     # (a, b] at scale s is at most ``width`` wide iff (b - a) * w_den <= w_num_q << s.
@@ -69,7 +67,7 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
         """Bisect (a, b] at scale s: (a, b, m, s, sign of g at m), rescaled to m's scale."""
         a, b, s = 2 * a, 2 * b, s + 1
         m = (a + b) // 2
-        sg = _sign_at_dyadic(g, m, s)
+        sg = sign_at_dyadic(g, m, s)
         if sg == 0:
             # A midpoint on a root moves up by a quarter of the width, then
             # an eighth, and so on, until g is nonzero there.
@@ -77,17 +75,18 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
             a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
             while True:
                 m += step
-                sg = _sign_at_dyadic(g, m, s)
+                sg = sign_at_dyadic(g, m, s)
                 if sg:
                     break
                 a, b, m, s = 2 * a, 2 * b, 2 * m, s + 1
         return a, b, m, s, sg
 
     found = []
-    signs = [_sign_at_dyadic(ints, -p, 0) for ints in chain]
-    v_lo = _variations(signs)
+    # No root lies at or beyond M, so (-M, M] holds every distinct root.
+    signs = [sign_at_dyadic(e, -p, 0) for e in chain]
+    v_hi = variations(sign_at_dyadic(e, p, 0) for e in chain)
     # (a, b, s, variations at a, variations at b, sign of g at a)
-    stack = [(-p, p, 0, v_lo, v_lo - ctx.distinct, signs[0])]
+    stack = [(-p, p, 0, variations(signs), v_hi, signs[0])]
     while stack:
         a, b, s, v_a, v_b, sg_a = stack.pop()
         if v_a - v_b == 1:
@@ -100,7 +99,7 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
             found.append(IsolatingInterval(Fraction(a, q << s), Fraction(b, q << s)))
             continue
         a, b, m, s, sg = split(a, b, s)
-        v_m = _variations([sg] + [_sign_at_dyadic(ints, m, s) for ints in chain[1:]])
+        v_m = variations([sg] + [sign_at_dyadic(e, m, s) for e in chain[1:]])
         if v_m > v_b:
             stack.append((m, b, s, v_m, v_b, sg))
         if v_a > v_m:
@@ -111,7 +110,7 @@ def reference_isolate(ctx: _RootContext, width: Fraction) -> tuple[IsolatingInte
 def assert_same_cells(f: Poly, widths=WIDTHS) -> None:
     ctx = _RootContext(f.nums)
     for width in widths:
-        assert ctx.isolate(width) == reference_isolate(ctx, width), (f, width)
+        assert ctx.isolate(width) == reference_isolate(f, width), (f, width)
 
 
 def theorem_images(seed: int, count: int) -> list[Poly]:
@@ -292,7 +291,7 @@ def test_more_confirmed_cells_than_the_count_raises():
 
 # Standard families of the real-root literature (Rouillier & Zimmermann 2004),
 # checked against plain bisection and sympy, with open counts against the
-# Fraction Sturm count. They guard the paths that float proposals are to take
+# reference Sturm count. They guard the paths that float proposals are to take
 # over from the Sturm chain: chain-free certify (ROADMAP item 3),
 # multiprecision proposals (item 4) and one root engine without the Sturm
 # split (item 5).
@@ -380,8 +379,7 @@ ROOT_CORPUS = {
 def corpus_reference(name: str) -> tuple[str, tuple[Fraction, Fraction], list]:
     """(certificate bytes, enclosure, [(lo, hi, open count)]) by plain bisection."""
     f = ROOT_CORPUS[name]
-    ctx = _RootContext(f.nums)
-    cells = reference_isolate(ctx, DEFAULT_WIDTH)
+    cells = reference_isolate(f, DEFAULT_WIDTH)
     g_degree = square_free(f).degree()
     certificate = RootCertificate(
         degree=f.degree(),

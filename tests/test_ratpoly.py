@@ -20,7 +20,7 @@ from reference import derivative, fraction_shift, gcd, monic, poly_divmod, squar
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 polys = st.lists(rationals, max_size=6).map(Poly)
-nonzero_polys = polys.filter(lambda f: not f.is_zero)
+nonzero_polys = polys.filter(bool)
 root_pairs = st.lists(st.tuples(rationals, st.integers(min_value=1, max_value=4)), max_size=4)
 
 
@@ -140,10 +140,9 @@ def test_huge_exponent_is_refused_without_computing_it():
 
 def test_construction_normalizes_trailing_zeros():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
-    assert Poly([0, 0]).is_zero
-    assert Poly([]).is_zero
-    assert not Poly([0, 1]).is_zero
-    assert not Poly()  # __bool__
+    assert not Poly([0, 0])
+    assert not Poly([])
+    assert not Poly()
     assert Poly([0, 1])
 
 
@@ -206,8 +205,8 @@ def test_evaluation():
 
 def test_derivative():
     assert derivative(Poly([5, 3, 0, 2])) == Poly([3, 0, 6])
-    assert derivative(Poly([4])).is_zero
-    assert derivative(Poly()).is_zero
+    assert not derivative(Poly([4]))
+    assert not derivative(Poly())
 
 
 def test_shift():
@@ -388,7 +387,7 @@ def test_integer_shift_matches_fraction_taylor_shift(f, c):
 def test_division_identity(f, g):
     q, r = poly_divmod(f, g)
     assert q * g + r == f
-    assert r.is_zero or r.degree() < g.degree()
+    assert not r or r.degree() < g.degree()
 
 
 @settings(max_examples=50)
@@ -411,7 +410,7 @@ def test_numerators_round_trip(f):
     assert d == math.lcm(*(c.denominator for c in f.coeffs))
     assert Poly([Fraction(c, d) for c in nums]) == f
     assert len(nums) == len(f.coeffs)
-    if f.is_zero:
+    if not f:
         assert (nums, d) == ((), 1)
 
 
@@ -433,7 +432,7 @@ def test_integer_constructor_matches_the_literal_one(nums, den):
     assert f == g and hash(f) == hash(g)
     assert f.coeffs == g.coeffs and (f.nums, f.den) == (g.nums, g.den)
     assert str(f) == str(g) and poly_literal(f) == poly_literal(g)
-    assert f.is_zero == g.is_zero and (f.is_zero or f.degree() == g.degree())
+    assert bool(f) == bool(g) and (not f or f.degree() == g.degree())
     # The stored pair: den > 0, lowest terms, a nonzero top numerator, plain ints.
     assert f.den > 0 and math.gcd(f.den, *f.nums) == 1 and (not f.nums or f.nums[-1])
     assert type(f.nums) is tuple and all(type(c) is int for c in (f.den, *f.nums))
@@ -468,7 +467,7 @@ def test_stored_pair_is_not_shared():
 @given(nonzero_polys)
 def test_square_free_divides_and_is_square_free(f):
     s = square_free(f)
-    assert poly_divmod(f, s)[1].is_zero
+    assert not poly_divmod(f, s)[1]
     assert gcd(s, derivative(s)) == Poly([1])
 
 
